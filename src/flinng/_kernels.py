@@ -1,15 +1,8 @@
 """Hot inner loops: numba-compiled kernels with pure-numpy fallbacks.
 
-Backend selection happens once at import time via the FLINNG_BACKEND
-environment variable:
-
-  * unset / "auto"  -> numba when importable, else numpy
-  * "numba"         -> require numba, fail loudly if missing
-  * "numpy"         -> force the vectorized fallbacks
-
-Both backends compute identical integer math, so indexes and query results
-are bit-for-bit the same either way; only speed differs. The script
-``benchmarks/compare_backends.py`` times one against the other.
+numba is used when importable and numpy otherwise. Both backends compute
+identical integer math, so indexes and query results are bit-for-bit the
+same either way; only speed differs.
 
 Kernels (same calling convention in both backends):
 
@@ -17,34 +10,22 @@ Kernels (same calling convention in both backends):
   gather_counts(table_offsets, payload, codes, table_size, counts, touched)
       accumulate per-cell collision counts for one query; returns the number
       of touched cells and leaves counts[touched[:n]] populated
-  emit_topk(...) / emit_topk_bits(...)
+  emit_topk(...)
       threshold-relaxation emission over cells ordered by descending count;
-      both reset every scratch slot they touched before returning
+      resets every scratch slot it touched before returning
 """
-
-import os
 
 import numpy as np
 
-from .errors import ConfigError
 from ._prng import mix64
 
-_choice = os.environ.get("FLINNG_BACKEND", "auto").strip().lower() or "auto"
-if _choice not in ("auto", "numba", "numpy"):
-    raise ConfigError(
-        f"FLINNG_BACKEND must be 'auto', 'numba', or 'numpy', got {_choice!r}"
-    )
+try:
+    import numba
+    from numba import njit, prange
 
-HAVE_NUMBA = False
-if _choice != "numpy":
-    try:
-        import numba
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise ConfigError("FLINNG_BACKEND=numba but numba is not importable")
+    HAVE_NUMBA = True
+except ImportError:
+    HAVE_NUMBA = False
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
@@ -223,43 +204,6 @@ if HAVE_NUMBA:
             cell = order[oi]
             for mi in range(cell_offsets[cell], cell_offsets[cell + 1]):
                 point_counts[np.int64(cell_members[mi])] = np.uint8(0)
-        for ii in range(n_touched):
-            counts[touched[ii]] = 0
-        return emitted
-
-    @njit(cache=True)
-    def nb_emit_topk_bits(
-        touched, n_touched, counts, cell_offsets, cell_members, k, m, point_bits, out_ids, out_counts
-    ):
-        # two-repetition fast path: one bit per point, emit on the second sighting
-        order = _nb_cell_order(touched, n_touched, counts, m)
-        emitted = 0
-        processed = 0
-        done = False
-        for oi in range(order.shape[0]):
-            cell = order[oi]
-            cnt = counts[cell]
-            for mi in range(cell_offsets[cell], cell_offsets[cell + 1]):
-                p = np.int64(cell_members[mi])
-                word = p >> 6
-                mask = np.uint64(1) << np.uint64(p & 63)
-                if point_bits[word] & mask:
-                    out_ids[emitted] = p
-                    out_counts[emitted] = cnt
-                    emitted += 1
-                    if emitted == k:
-                        done = True
-                        break
-                else:
-                    point_bits[word] |= mask
-            processed = oi + 1
-            if done:
-                break
-        for oi in range(processed):
-            cell = order[oi]
-            for mi in range(cell_offsets[cell], cell_offsets[cell + 1]):
-                p = np.int64(cell_members[mi])
-                point_bits[p >> 6] &= ~(np.uint64(1) << np.uint64(p & 63))
         for ii in range(n_touched):
             counts[touched[ii]] = 0
         return emitted

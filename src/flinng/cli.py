@@ -37,11 +37,6 @@ def _require_file(path, flag):
     return path
 
 
-def _hash_spec(args, dim=None):
-    kind = "minhash" if args.metric == "jaccard" else "srp"
-    return HashFamilySpec(kind=kind, m=args.m, l_bits=args.l_bits, seed=args.seed, dim=dim)
-
-
 def _load_dataset(path, metric, flag):
     _require_file(path, flag)
     if metric == "jaccard":
@@ -89,9 +84,10 @@ def cmd_query(args):
     queries = _load_queries(args.queries, index.config.metric, "--queries")
     if args.t is None:
         raise ConfigError("missing required flag --t")
+    scratch = QueryScratch(index)
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
-            ids = index.query_threshold(q, args.t)
+            ids = index.query_threshold(q, args.t, scratch)
             fh.write(" ".join(str(int(i)) for i in ids))
             fh.write("\n")
     return 0

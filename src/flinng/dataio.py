@@ -108,7 +108,6 @@ class SyntheticSpec:
     tokens_per_point: int
     n_queries: int
     s_high: float
-    s_low: float = 0.0
     seed: int = 0
 
 
@@ -127,8 +126,8 @@ def generate_synthetic(spec: SyntheticSpec, truth_depth=10):
     the rest from the query's own private block, so the pair's Jaccard is
     exactly keep / (2T - keep) and every other point sits at exactly 0.
     """
-    if not (0.0 <= spec.s_low < spec.s_high <= 1.0):
-        raise ConfigError(f"need 0 <= s_low < s_high <= 1, got {spec.s_low}, {spec.s_high}")
+    if not (0.0 < spec.s_high <= 1.0):
+        raise ConfigError(f"need 0 < s_high <= 1, got {spec.s_high}")
     if spec.n_points < 1 or spec.tokens_per_point < 1:
         raise ConfigError("n_points and tokens_per_point must be positive")
     if not (1 <= spec.n_queries <= spec.n_points):

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInvalidError, ConfigError, InputError
-
-MAX_L_BITS = 24
+from .lsh import MAX_L_BITS
 
 
 @dataclass(frozen=True)

@@ -86,21 +86,12 @@ class QueryScratch:
     def __init__(self, index):
         self.cell_counts = np.zeros(index.config.total_cells, dtype=np.int32)
         self.touched = np.empty(index.config.total_cells, dtype=np.int64)
-        reps = index.config.repetitions
-        if _kernels.BACKEND == "numba" and reps == 2:
-            self.point_bits = np.zeros((index.n_points + 63) // 64, dtype=np.uint64)
-            self.point_counts = None
-        else:
-            self.point_bits = None
-            self.point_counts = np.zeros(index.n_points, dtype=np.uint8)
+        self.point_counts = np.zeros(index.n_points, dtype=np.uint8)
 
     def assert_clean(self):
         """Debug sweep: verify every scratch slot was reset after the last query."""
         assert not self.cell_counts.any(), "cell counts were not reset"
-        if self.point_counts is not None:
-            assert not self.point_counts.any(), "point counters were not reset"
-        if self.point_bits is not None:
-            assert not self.point_bits.any(), "point bit array was not reset"
+        assert not self.point_counts.any(), "point counters were not reset"
 
 
 class FlinngIndex:
@@ -200,34 +191,49 @@ class FlinngIndex:
 
     # -- queries ------------------------------------------------------------
 
+    def _gather(self, query_codes, scratch):
+        """Validate one query's codes and scratch, then count collisions per cell.
+
+        Returns the scratch and its touched cells, whose counts are left in
+        ``scratch.cell_counts``; the caller resets them.
+        """
+        if scratch is None:
+            scratch = QueryScratch(self)
+        else:
+            total = (self.config.total_cells,)
+            shapes = (scratch.cell_counts.shape, scratch.touched.shape, scratch.point_counts.shape)
+            if shapes != (total, total, (self.n_points,)):
+                raise InputError("scratch was sized for a different index")
+        spec = self.config.hash_spec
+        codes = np.ascontiguousarray(query_codes, dtype=np.uint32)
+        if codes.shape != (spec.m,):
+            raise InputError(f"expected {spec.m} query codes")
+        if (codes >> spec.l_bits).any():
+            raise InputError(f"query codes must lie in [0, 2**{spec.l_bits})")
+        n_touched = _kernels.gather_counts(
+            self.table_offsets, self.table_payload, codes, 1 << spec.l_bits,
+            scratch.cell_counts, scratch.touched,
+        )
+        return scratch, scratch.touched[:n_touched]
+
     def cell_counts(self, query_codes, scratch=None):
         """Per-cell collision counts in [0, m] for one query's codes."""
-        scratch = scratch or QueryScratch(self)
-        codes = np.ascontiguousarray(query_codes, dtype=np.uint32)
-        if codes.shape != (self.config.hash_spec.m,):
-            raise InputError(f"expected {self.config.hash_spec.m} query codes")
-        n_touched = _kernels.gather_counts(
-            self.table_offsets,
-            self.table_payload,
-            codes,
-            1 << self.config.hash_spec.l_bits,
-            scratch.cell_counts,
-            scratch.touched,
-        )
+        scratch, touched = self._gather(query_codes, scratch)
         out = scratch.cell_counts.copy()
-        scratch.cell_counts[scratch.touched[:n_touched]] = 0
+        scratch.cell_counts[touched] = 0
         return out
 
-    def query_threshold(self, query, t):
+    def query_threshold(self, query, t, scratch=None):
         """Ids passing the count threshold in every repetition (ascending order)."""
-        return self.query_threshold_codes(self.hash_query(query), t)
+        return self.query_threshold_codes(self.hash_query(query), t, scratch)
 
-    def query_threshold_codes(self, query_codes, t):
+    def query_threshold_codes(self, query_codes, t, scratch=None):
         m = self.config.hash_spec.m
         if not (0 < t <= m):
             raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
-        counts = self.cell_counts(query_codes)
-        passing = np.flatnonzero(counts >= t)
+        scratch, touched = self._gather(query_codes, scratch)
+        passing = touched[scratch.cell_counts[touched] >= t]
+        scratch.cell_counts[touched] = 0
         if passing.size == 0:
             return np.empty(0, dtype=np.int64)
         hits = np.concatenate([self.members_of(c) for c in passing]).astype(np.int64)
@@ -236,50 +242,25 @@ class FlinngIndex:
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
-        ids, _ = self.query_topk_codes_trace(self.hash_query(query), k, scratch)
-        return ids
-
-    def query_topk_trace(self, query, k, scratch=None):
-        """query_topk plus, per emission, the collision count of the emitting cell."""
-        return self.query_topk_codes_trace(self.hash_query(query), k, scratch)
+        return self.query_topk_codes_trace(self.hash_query(query), k, scratch)[0]
 
     def query_topk_codes(self, query_codes, k, scratch=None):
-        ids, _ = self.query_topk_codes_trace(query_codes, k, scratch)
-        return ids
+        return self.query_topk_codes_trace(query_codes, k, scratch)[0]
 
     def query_topk_codes_trace(self, query_codes, k, scratch=None):
+        """Top-k ids plus, per emission, the collision count of the emitting cell."""
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
-        scratch = scratch or QueryScratch(self)
-        codes = np.ascontiguousarray(query_codes, dtype=np.uint32)
-        if codes.shape != (self.config.hash_spec.m,):
-            raise InputError(f"expected {self.config.hash_spec.m} query codes")
-        n_touched = _kernels.gather_counts(
-            self.table_offsets,
-            self.table_payload,
-            codes,
-            1 << self.config.hash_spec.l_bits,
-            scratch.cell_counts,
-            scratch.touched,
-        )
+        scratch, touched = self._gather(query_codes, scratch)
         cap = min(k, self.n_points)
         out_ids = np.empty(cap, dtype=np.int64)
         out_counts = np.empty(cap, dtype=np.int32)
-        m = self.config.hash_spec.m
-        reps = self.config.repetitions
-        if scratch.point_bits is not None:
-            n_emit = _kernels.nb_emit_topk_bits(
-                scratch.touched, n_touched, scratch.cell_counts,
-                self.cell_offsets, self.cell_members, cap, m,
-                scratch.point_bits, out_ids, out_counts,
-            )
-        else:
-            n_emit = _kernels.emit_topk(
-                scratch.touched, n_touched, scratch.cell_counts,
-                self.cell_offsets, self.cell_members, reps, cap, m,
-                scratch.point_counts, out_ids, out_counts,
-            )
-        return out_ids[:n_emit].copy(), out_counts[:n_emit].copy()
+        n_emit = _kernels.emit_topk(
+            touched, touched.size, scratch.cell_counts,
+            self.cell_offsets, self.cell_members, self.config.repetitions, cap,
+            self.config.hash_spec.m, scratch.point_counts, out_ids, out_counts,
+        )
+        return out_ids[:n_emit], out_counts[:n_emit]
 
     # -- serialization ------------------------------------------------------
 

@@ -163,4 +163,4 @@ def test_synthetic_universe_too_small():
 
 def test_synthetic_invalid_band():
     with pytest.raises(ConfigError):
-        dataio.generate_synthetic(spec(s_high=0.5, s_low=0.5))
+        dataio.generate_synthetic(spec(s_high=0.0))

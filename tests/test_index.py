@@ -301,6 +301,39 @@ def test_scratch_reuse_and_clean(token_corpus_50):
     assert first == second
     fresh = [idx.query_topk(p, 5).tolist() for p in points[:5]]
     assert first == fresh
+    t = idx.config.hash_spec.m // 2
+    passed = [idx.query_threshold(p, t, scratch).tolist() for p in points[:5]]
+    scratch.assert_clean()
+    assert passed == [idx.query_threshold(p, t).tolist() for p in points[:5]]
+
+
+@pytest.mark.parametrize("table", [3, 7])
+def test_query_code_out_of_range_rejected(table):
+    # an unchecked code 2**l_bits reads the next table's bucket (table 3) or
+    # runs past the last offset (table 7)
+    rng = np.random.default_rng(1)
+    idx = codes_index(rng.integers(0, 16, (20, 8)), B=3, R=2, l_bits=4)
+    q = rng.integers(0, 16, 8).astype(np.uint32)
+    q[table] = 16
+    with pytest.raises(InputError, match="query codes"):
+        idx.cell_counts(q)
+    with pytest.raises(InputError, match="query codes"):
+        idx.query_topk_codes(q, 3)
+    with pytest.raises(InputError, match="query codes"):
+        idx.query_threshold_codes(q, 1)
+
+
+def test_scratch_from_another_index_rejected():
+    idx = codes_index(np.zeros((20, 8)), B=3, R=2)
+    q = np.zeros(8, dtype=np.uint32)
+    for other in (codes_index(np.zeros((21, 8)), B=3, R=2), codes_index(np.zeros((20, 8)), B=4, R=2)):
+        scratch = QueryScratch(other)
+        with pytest.raises(InputError, match="scratch"):
+            idx.cell_counts(q, scratch)
+        with pytest.raises(InputError, match="scratch"):
+            idx.query_topk_codes(q, 3, scratch)
+        with pytest.raises(InputError, match="scratch"):
+            idx.query_threshold_codes(q, 1, scratch)
 
 
 def test_candidate_shrinkage_matches_expectation():

@@ -82,34 +82,3 @@ def test_gather_and_emit_parity():
             assert np.array_equal(ids_a[:ea], ids_b[:eb])
             assert np.array_equal(cnt_a[:ea], cnt_b[:eb])
 
-
-def test_bits_path_matches_counter_path():
-    points, idx = small_index(n=64, B=8, R=2, m=10, l_bits=7, seed=9)
-    table_size = 1 << idx.config.hash_spec.l_bits
-    total = idx.config.total_cells
-    rng = np.random.default_rng(4)
-    for trial in range(15):
-        codes = rng.integers(0, table_size, 10).astype(np.uint32)
-        counts = np.zeros(total, np.int32)
-        touched = np.empty(total, np.int64)
-        n = _kernels.nb_gather_counts(
-            idx.table_offsets, idx.table_payload, codes, table_size, counts, touched
-        )
-        ids_c = np.empty(64, np.int64)
-        cnt_c = np.empty(64, np.int32)
-        pc = np.zeros(64, np.uint8)
-        cc = counts.copy()
-        ec = _kernels.nb_emit_topk(
-            touched.copy(), n, cc, idx.cell_offsets, idx.cell_members, 2, 64, 10, pc, ids_c, cnt_c
-        )
-        ids_b = np.empty(64, np.int64)
-        cnt_b = np.empty(64, np.int32)
-        bits = np.zeros(1, np.uint64)
-        cb = counts.copy()
-        eb = _kernels.nb_emit_topk_bits(
-            touched.copy(), n, cb, idx.cell_offsets, idx.cell_members, 64, 10, bits, ids_b, cnt_b
-        )
-        assert not bits.any() and not cb.any()
-        assert ec == eb
-        assert np.array_equal(ids_c[:ec], ids_b[:eb])
-        assert np.array_equal(cnt_c[:ec], cnt_b[:eb])
