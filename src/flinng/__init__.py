@@ -5,7 +5,6 @@ and located at query time by counting code collisions per cell through
 reverse tables, then intersecting the firing cells across repetitions.
 """
 
-from ._kernels import BACKEND, HAVE_NUMBA
 from .dsbf import DistanceSensitiveFilter, FilterBounds, membership_error_bounds
 from .errors import (
     BoundInvalidError,
@@ -42,8 +41,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
-    "HAVE_NUMBA",
     "BoundInvalidError",
     "ConfigError",
     "DegenerateQueryError",

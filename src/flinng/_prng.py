@@ -9,7 +9,7 @@ the SplitMix64 finalizer:
   * ``permutation``           -> argsort of a key stream
 
 Integer paths are pure uint64 arithmetic and therefore bit-identical across
-platforms and across the numba/numpy backends.
+platforms.
 """
 
 import numpy as np

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from . import dataio, oracle, theory
-from ._kernels import BACKEND
 from .errors import ConfigError, DomainError, FlinngError, FormatError, InputError
 from .index import FlinngConfig, FlinngIndex, QueryScratch
 from .lsh import HashFamilySpec
@@ -60,7 +59,7 @@ def _build_index(points, args, B, R, m):
     )
     config = FlinngConfig(num_cells=B, repetitions=R, hash_spec=spec, metric=args.metric)
     start = time.perf_counter()
-    index = FlinngIndex.build(points, config, threads=args.threads)
+    index = FlinngIndex.build(points, config)
     return index, time.perf_counter() - start
 
 
@@ -181,7 +180,7 @@ def _pareto_flags(rows):
 
 BENCH_COLUMNS = [
     "B", "R", "m", "l_bits", "seed", "metric", "k", "n_points", "n_queries",
-    "backend", "recall", "build_seconds", "index_bytes",
+    "recall", "build_seconds", "index_bytes",
     "latency_p50_ns", "latency_p95_ns", "pareto",
 ]
 
@@ -197,7 +196,7 @@ def cmd_bench(args):
         index, build_seconds = _build_index(points, args, B, R, m)
         scratch = QueryScratch(index)
         if queries:
-            index.query_topk(queries[0], args.k, scratch)  # warm the compiled path
+            index.query_topk(queries[0], args.k, scratch)  # keep first-call costs out of the latencies
         latencies = []
         results = []
         for q in queries:
@@ -210,10 +209,10 @@ def cmd_bench(args):
         rows.append({
             "B": B, "R": R, "m": m, "l_bits": args.l_bits, "seed": args.seed,
             "metric": args.metric, "k": args.k, "n_points": len(points),
-            "n_queries": len(queries), "backend": BACKEND,
+            "n_queries": len(queries),
             "recall": report.recall_at_k[args.k],
             "build_seconds": round(build_seconds, 6),
-            "index_bytes": len(index.to_bytes()),
+            "index_bytes": index.nbytes,
             "latency_p50_ns": int(np.percentile(lat, 50)) if latencies else 0,
             "latency_p95_ns": int(np.percentile(lat, 95)) if latencies else 0,
         })
@@ -247,7 +246,6 @@ def build_parser():
     p.add_argument("--index")
     p.add_argument("--B", type=int, default=256, help="cells per repetition")
     p.add_argument("--R", type=int, default=3, help="repetitions")
-    p.add_argument("--threads", type=int, default=1, help="build threads (queries stay single-threaded)")
     common_hash(p)
     p.set_defaults(func=cmd_build)
 
@@ -306,7 +304,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--metric", choices=["jaccard", "cosine"], default="jaccard")
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 

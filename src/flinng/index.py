@@ -41,7 +41,7 @@ _HEADER = struct.Struct("<4sIBBBBIIIIQIIQQ")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
 _METRICS = (METRIC_JACCARD, METRIC_COSINE)
 
-MAX_REPETITIONS = 255  # per-point counters are one byte
+MAX_REPETITIONS = 255
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ class FlinngConfig:
     metric: str
 
     def validate(self):
+        lsh._validate_spec(self.hash_spec)
         if self.num_cells < 2:
             raise ConfigError(f"num_cells must be >= 2, got {self.num_cells}")
         if self.repetitions < 1:
@@ -86,12 +87,29 @@ class QueryScratch:
     def __init__(self, index):
         self.cell_counts = np.zeros(index.config.total_cells, dtype=np.int32)
         self.touched = np.empty(index.config.total_cells, dtype=np.int64)
-        self.point_counts = np.zeros(index.n_points, dtype=np.uint8)
 
     def assert_clean(self):
         """Debug sweep: verify every scratch slot was reset after the last query."""
         assert not self.cell_counts.any(), "cell counts were not reset"
-        assert not self.point_counts.any(), "point counters were not reset"
+
+
+def _check_membership(cell_offsets, cell_members, B, R, n):
+    """Raise FormatError unless each repetition holds every point in [0, n) once,
+    with ids ascending within each cell."""
+    if (cell_offsets[: B * R : B] != np.arange(R) * n).any():
+        raise FormatError("a repetition does not hold exactly n_points members")
+    if cell_members.size == 0:
+        return
+    if cell_members.max() >= n:
+        raise FormatError("cell membership references an out-of-range point")
+    # R * n keys below R * n: all present means each exactly once
+    keys = np.repeat(np.arange(R, dtype=np.int64) * n, n) + cell_members
+    if not np.bincount(keys, minlength=R * n).all():
+        raise FormatError("a point occurs twice in one repetition")
+    cell_start = np.zeros(cell_members.size + 1, dtype=bool)
+    cell_start[cell_offsets] = True
+    if ((cell_members[1:] <= cell_members[:-1]) & ~cell_start[1:-1]).any():
+        raise FormatError("cell member ids are not ascending")
 
 
 class FlinngIndex:
@@ -109,7 +127,7 @@ class FlinngIndex:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def build(cls, points, config: FlinngConfig, threads=1):
+    def build(cls, points, config: FlinngConfig):
         """Hash and partition a homogeneous point list. Deterministic per (points, config)."""
         config.validate()
         n = len(points)
@@ -120,7 +138,6 @@ class FlinngIndex:
                 f"num_cells={config.num_cells} exceeds n_points={n}; some cells stay empty",
                 stacklevel=2,
             )
-        _kernels.set_build_threads(threads)
         family = lsh.build_family(config.hash_spec)
         if config.metric == METRIC_JACCARD:
             codes = lsh.hash_set_many(family, points)
@@ -201,15 +218,17 @@ class FlinngIndex:
             scratch = QueryScratch(self)
         else:
             total = (self.config.total_cells,)
-            shapes = (scratch.cell_counts.shape, scratch.touched.shape, scratch.point_counts.shape)
-            if shapes != (total, total, (self.n_points,)):
+            if (scratch.cell_counts.shape, scratch.touched.shape) != (total, total):
                 raise InputError("scratch was sized for a different index")
         spec = self.config.hash_spec
-        codes = np.ascontiguousarray(query_codes, dtype=np.uint32)
+        codes = np.asarray(query_codes)
+        if codes.dtype.kind not in "iu":
+            raise InputError(f"query codes must be integers, got dtype {codes.dtype}")
         if codes.shape != (spec.m,):
             raise InputError(f"expected {spec.m} query codes")
-        if (codes >> spec.l_bits).any():
+        if codes.min() < 0 or codes.max() >= 1 << spec.l_bits:
             raise InputError(f"query codes must lie in [0, 2**{spec.l_bits})")
+        codes = np.ascontiguousarray(codes, dtype=np.uint32)
         n_touched = _kernels.gather_counts(
             self.table_offsets, self.table_payload, codes, 1 << spec.l_bits,
             scratch.cell_counts, scratch.touched,
@@ -252,17 +271,18 @@ class FlinngIndex:
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
         scratch, touched = self._gather(query_codes, scratch)
-        cap = min(k, self.n_points)
-        out_ids = np.empty(cap, dtype=np.int64)
-        out_counts = np.empty(cap, dtype=np.int32)
-        n_emit = _kernels.emit_topk(
-            touched, touched.size, scratch.cell_counts,
-            self.cell_offsets, self.cell_members, self.config.repetitions, cap,
-            self.config.hash_spec.m, scratch.point_counts, out_ids, out_counts,
+        return _kernels.emit_topk(
+            touched, scratch.cell_counts, self.cell_offsets, self.cell_members,
+            self.config.repetitions, k,
         )
-        return out_ids[:n_emit], out_counts[:n_emit]
 
     # -- serialization ------------------------------------------------------
+
+    @property
+    def nbytes(self):
+        """Size of the ``to_bytes`` image: the header plus every array."""
+        arrays = (self.cell_offsets, self.cell_members, self.table_offsets, self.table_payload)
+        return _HEADER.size + sum(a.nbytes for a in arrays)
 
     def to_bytes(self) -> bytes:
         """Little-endian byte image; layout documented in the README."""
@@ -305,14 +325,19 @@ class FlinngIndex:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise FormatError(f"unsupported index version {version}")
-        if kind_i >= len(_KINDS) or metric_i >= len(_METRICS) or width not in (2, 4):
+        if kind_i >= len(_KINDS) or metric_i >= len(_METRICS):
             raise FormatError("corrupt header fields")
         spec = lsh.HashFamilySpec(
             kind=_KINDS[kind_i], m=m, l_bits=l_bits, seed=seed,
             dim=dim if _KINDS[kind_i] == lsh.KIND_SRP else None,
         )
         config = FlinngConfig(num_cells=B, repetitions=R, hash_spec=spec, metric=_METRICS[metric_i])
-        config.validate()
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise FormatError(f"corrupt header fields: {exc}") from exc
+        if width != np.dtype(config.cell_dtype).itemsize:
+            raise FormatError(f"cell id width {width} does not match a grid of {B * R} cells")
         total = B * R
         table_size = 1 << l_bits
         sizes = [
@@ -339,6 +364,7 @@ class FlinngIndex:
             raise FormatError("corrupt reverse-table offsets")
         if payload_len and (table_payload.astype(np.int64) >= total).any():
             raise FormatError("reverse-table payload references an out-of-range cell")
+        _check_membership(cell_offsets, cell_members, B, R, n_points)
         family = lsh.build_family(spec)
         return cls(config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family)
 

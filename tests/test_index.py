@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flinng.errors import ConfigError, FormatError, InputError
 from flinng.index import FlinngConfig, FlinngIndex, QueryScratch
@@ -307,14 +309,23 @@ def test_scratch_reuse_and_clean(token_corpus_50):
     assert passed == [idx.query_threshold(p, t).tolist() for p in points[:5]]
 
 
-@pytest.mark.parametrize("table", [3, 7])
-def test_query_code_out_of_range_rejected(table):
-    # an unchecked code 2**l_bits reads the next table's bucket (table 3) or
-    # runs past the last offset (table 7)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # an unchecked code 2**l_bits reads the next table's bucket (table 3)
+        # or runs past the last offset (table 7)
+        lambda q: np.where(np.arange(q.size) == 3, 16, q),
+        lambda q: np.where(np.arange(q.size) == 7, 16, q),
+        # a cast to uint32 truncates floats and overflows on negatives
+        lambda q: q + 0.7,
+        lambda q: [-1] + q[1:].tolist(),
+    ],
+    ids=["3", "7", "float", "negative-in-list"],
+)
+def test_query_code_out_of_range_rejected(bad):
     rng = np.random.default_rng(1)
     idx = codes_index(rng.integers(0, 16, (20, 8)), B=3, R=2, l_bits=4)
-    q = rng.integers(0, 16, 8).astype(np.uint32)
-    q[table] = 16
+    q = bad(rng.integers(0, 16, 8).astype(np.uint32))
     with pytest.raises(InputError, match="query codes"):
         idx.cell_counts(q)
     with pytest.raises(InputError, match="query codes"):
@@ -326,7 +337,7 @@ def test_query_code_out_of_range_rejected(table):
 def test_scratch_from_another_index_rejected():
     idx = codes_index(np.zeros((20, 8)), B=3, R=2)
     q = np.zeros(8, dtype=np.uint32)
-    for other in (codes_index(np.zeros((21, 8)), B=3, R=2), codes_index(np.zeros((20, 8)), B=4, R=2)):
+    for other in (codes_index(np.zeros((20, 8)), B=3, R=3), codes_index(np.zeros((20, 8)), B=4, R=2)):
         scratch = QueryScratch(other)
         with pytest.raises(InputError, match="scratch"):
             idx.cell_counts(q, scratch)
@@ -334,6 +345,9 @@ def test_scratch_from_another_index_rejected():
             idx.query_topk_codes(q, 3, scratch)
         with pytest.raises(InputError, match="scratch"):
             idx.query_threshold_codes(q, 1, scratch)
+    # the buffers are sized by the grid alone, so a same-grid scratch fits
+    scratch = QueryScratch(codes_index(np.zeros((21, 8)), B=3, R=2))
+    assert np.array_equal(idx.query_topk_codes(q, 3, scratch), idx.query_topk_codes(q, 3))
 
 
 def test_candidate_shrinkage_matches_expectation():
@@ -362,6 +376,7 @@ def test_roundtrip_preserves_structure(token_corpus_50):
     assert np.array_equal(clone.table_offsets, idx.table_offsets)
     assert np.array_equal(clone.table_payload, idx.table_payload)
     assert clone.to_bytes() == idx.to_bytes()
+    assert idx.nbytes == clone.nbytes == len(idx.to_bytes())
     for p in points[:10]:
         assert np.array_equal(clone.query_topk(p, 10), idx.query_topk(p, 10))
 
@@ -381,6 +396,73 @@ def test_truncation_rejected(token_corpus_50):
         FlinngIndex.from_bytes(blob[: len(blob) - 7])
     with pytest.raises(FormatError):
         FlinngIndex.from_bytes(blob[:10])
+
+
+def _image(idx, **arrays):
+    fields = {name: getattr(idx, name) for name in
+              ("cell_offsets", "cell_members", "table_offsets", "table_payload")}
+    fields.update(arrays)
+    return FlinngIndex(idx.config, idx.n_points, family=idx.family, **fields).to_bytes()
+
+
+def _wide_payload_image(idx):
+    # a 4-byte payload for a 2-byte grid: cell 65536 + c would load as cell c
+    payload = idx.table_payload.astype("<u4")
+    payload[0] += 1 << 16
+    blob = bytearray(idx.to_bytes()[: -idx.table_payload.nbytes])
+    blob[10] = 4
+    return bytes(blob) + payload.tobytes()
+
+
+def _header_field(idx, offset, value):
+    blob = bytearray(idx.to_bytes())
+    blob[offset : offset + 4] = value.to_bytes(4, "little")
+    return bytes(blob)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda idx: _image(idx, cell_members=np.where(idx.cell_members == 7, 10**6, idx.cell_members)),
+        lambda idx: _image(idx, cell_members=np.where(idx.cell_members == 4, 3, idx.cell_members)),
+        lambda idx: _image(idx, cell_members=idx.cell_members[np.r_[1, 0, 2 : idx.cell_members.size]]),
+        _wide_payload_image,
+        lambda idx: _header_field(idx, 16, 0),  # R = 0
+    ],
+    ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions"],
+)
+def test_corrupt_image_rejected(token_corpus_50, corrupt):
+    _, idx = token_corpus_50
+    with pytest.raises(FormatError):
+        FlinngIndex.from_bytes(corrupt(idx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_image_rejected_or_answers_in_range(token_corpus_50, data):
+    points, idx = token_corpus_50
+    blob = bytearray(idx.to_bytes())
+    # half the flips land in the header and memberships, the rest anywhere
+    front = len(blob) - idx.table_offsets.nbytes - idx.table_payload.nbytes
+    where = st.one_of(st.integers(0, front - 1), st.integers(0, len(blob) - 1))
+    for pos, mask in data.draw(st.lists(st.tuples(where, st.integers(1, 255)), max_size=3)):
+        blob[pos] ^= mask
+    cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob) - 1)))
+    try:
+        clone = FlinngIndex.from_bytes(bytes(blob[:cut]))
+    except FormatError:
+        return
+    scratch = QueryScratch(clone)
+    m = idx.config.hash_spec.m
+    for p in points[:3]:
+        codes = idx.hash_query(p)
+        for ids in (
+            clone.query_topk_codes(codes, 10, scratch),
+            clone.query_threshold_codes(codes, 1, scratch),
+            clone.query_threshold_codes(codes, m, scratch),
+        ):
+            assert ((ids >= 0) & (ids < clone.n_points)).all()
+        scratch.assert_clean()
 
 
 def test_save_load_file(tmp_path, token_corpus_50):

@@ -1,13 +1,14 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree bit-for-bit."""
+"""The numpy kernels against plain per-point and per-cell references."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from flinng import _kernels
-from flinng._prng import key_stream
+from flinng._prng import key_stream, mix64
+from flinng.index import QueryScratch
 from tests.conftest import random_token_points, small_index
-
-pytestmark = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
 
 
 def _ragged(points):
@@ -17,68 +18,59 @@ def _ragged(points):
     return np.concatenate(points).astype(np.uint64), offsets
 
 
-def test_minhash_codes_parity():
-    points = random_token_points(60, 30, seed=11)
-    flat, offsets = _ragged(points)
-    for l_bits in (1, 8, 16):
-        keys = key_stream(99, 12 * l_bits)
-        a = _kernels.nb_minhash_codes(flat, offsets, keys, l_bits)
-        b = _kernels.np_minhash_codes(flat, offsets, keys, l_bits)
-        assert np.array_equal(a, b)
-
-
-def test_minhash_codes_parity_tiny_slab(monkeypatch):
-    # force the fallback to take many slab iterations
-    monkeypatch.setattr(_kernels, "_SLAB_BUDGET", 64)
+@pytest.mark.parametrize("l_bits", [1, 6, 16])
+def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
+    # bit j of code i is the parity of min over tokens of mix64(token ^ key)
+    monkeypatch.setattr(_kernels, "_SLAB_BUDGET", 64)  # many slabs
     points = random_token_points(40, 25, seed=5)
     flat, offsets = _ragged(points)
-    keys = key_stream(7, 4 * 6)
-    assert np.array_equal(
-        _kernels.np_minhash_codes(flat, offsets, keys, 6),
-        _kernels.nb_minhash_codes(flat, offsets, keys, 6),
-    )
+    m = 4
+    keys = key_stream(7, m * l_bits)
+    expect = [
+        [sum(int(mix64(p ^ keys[i * l_bits + j]).min() & 1) << j for j in range(l_bits)) for i in range(m)]
+        for p in points
+    ]
+    assert _kernels.minhash_codes(flat, offsets, keys, l_bits).tolist() == expect
 
 
-def test_gather_and_emit_parity():
-    points, idx = small_index(n=80, B=10, R=3, m=12, l_bits=8, seed=2)
+def _reference_counts(idx, codes):
     table_size = 1 << idx.config.hash_spec.l_bits
-    total = idx.config.total_cells
+    counts = np.zeros(idx.config.total_cells, dtype=np.int64)
+    for i, code in enumerate(codes):
+        b = i * table_size + int(code)
+        for cell in idx.table_payload[idx.table_offsets[b] : idx.table_offsets[b + 1]]:
+            counts[cell] += 1
+    return counts
+
+
+def _reference_emission(idx, counts, k):
+    """Walk non-zero cells by descending count, ties by ascending id; emit at the R-th sighting."""
+    order = sorted(np.flatnonzero(counts).tolist(), key=lambda c: (-counts[c], c))
+    seen = Counter()
+    ids, at = [], []
+    for cell in order:
+        for p in idx.members_of(cell).tolist():
+            seen[p] += 1
+            if seen[p] == idx.config.repetitions:
+                ids.append(p)
+                at.append(int(counts[cell]))
+                if len(ids) == k:
+                    return ids, at
+    return ids, at
+
+
+def test_gather_and_emit_match_plain_references():
+    points, idx = small_index(n=80, B=10, R=3, m=12, l_bits=8, seed=2)
     rng = np.random.default_rng(0)
-    for trial in range(20):
-        codes = rng.integers(0, table_size, idx.config.hash_spec.m).astype(np.uint32)
-        counts_a = np.zeros(total, np.int32)
-        counts_b = np.zeros(total, np.int32)
-        touched_a = np.empty(total, np.int64)
-        touched_b = np.empty(total, np.int64)
-        na = _kernels.nb_gather_counts(
-            idx.table_offsets, idx.table_payload, codes, table_size, counts_a, touched_a
-        )
-        nb = _kernels.np_gather_counts(
-            idx.table_offsets, idx.table_payload, codes, table_size, counts_b, touched_b
-        )
-        assert na == nb
-        assert np.array_equal(counts_a, counts_b)
-        assert set(touched_a[:na]) == set(touched_b[:nb])
-
-        for k in (1, 3, 80):
-            ids_a = np.empty(min(k, 80), np.int64)
-            cnt_a = np.empty(min(k, 80), np.int32)
-            ids_b = np.empty(min(k, 80), np.int64)
-            cnt_b = np.empty(min(k, 80), np.int32)
-            pc = np.zeros(80, np.uint8)
-            ca = counts_a.copy()
-            ta = touched_a.copy()
-            ea = _kernels.nb_emit_topk(
-                ta, na, ca, idx.cell_offsets, idx.cell_members, 3, min(k, 80), 12, pc, ids_a, cnt_a
-            )
-            assert not ca.any() and not pc.any()  # touched-list reset left no residue
-            cb = counts_b.copy()
-            tb = touched_b.copy()
-            eb = _kernels.np_emit_topk(
-                tb, nb, cb, idx.cell_offsets, idx.cell_members, 3, min(k, 80), 12, None, ids_b, cnt_b
-            )
-            assert not cb.any()
-            assert ea == eb
-            assert np.array_equal(ids_a[:ea], ids_b[:eb])
-            assert np.array_equal(cnt_a[:ea], cnt_b[:eb])
-
+    # random codes fire few cells; the points' own codes fire many
+    fixtures = [rng.integers(0, 1 << 8, 12).astype(np.uint32) for _ in range(10)]
+    fixtures += [idx.hash_query(p) for p in points[:10]]
+    scratch = QueryScratch(idx)
+    for codes in fixtures:
+        counts = _reference_counts(idx, codes)
+        assert np.array_equal(idx.cell_counts(codes, scratch), counts)
+        scratch.assert_clean()
+        for k in (1, 3, idx.n_points):
+            ids, at = idx.query_topk_codes_trace(codes, k, scratch)
+            scratch.assert_clean()
+            assert (ids.tolist(), at.tolist()) == _reference_emission(idx, counts, k)
