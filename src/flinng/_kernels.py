@@ -1,4 +1,4 @@
-"""Hot inner loops, one numpy kernel per stage.
+"""Hot inner loops: the two numpy kernels, hashing and count gathering.
 
 All kernels are integer math, so indexes and query results are bit-for-bit
 reproducible.
@@ -6,10 +6,8 @@ reproducible.
   minhash_codes(flat_tokens, offsets, keys, l_bits) -> (n, m) uint32 codes
   gather_counts(table_offsets, payload, codes, table_size, counts, touched)
       accumulate per-cell collision counts for one query; returns the number
-      of touched cells and leaves counts[touched[:n]] populated
-  emit_topk(touched, counts, cell_offsets, cell_members, reps, k) -> (ids, counts)
-      threshold-relaxation emission over cells ordered by descending count;
-      resets every count slot it touched before returning
+      of touched cells and leaves counts[touched[:n]] populated, with
+      touched[:n] ascending
 """
 
 import numpy as np
@@ -17,7 +15,7 @@ import numpy as np
 from ._prng import mix64
 
 # u64 elements allowed per intermediate slab in the hash kernel
-_SLAB_BUDGET = 1 << 23
+_SLAB_BUDGET = 1 << 16
 
 
 def minhash_codes(flat_tokens, offsets, keys, l_bits):
@@ -55,33 +53,3 @@ def gather_counts(table_offsets, payload, codes, table_size, counts, touched):
     counts[cells] = binc[cells]
     touched[: cells.size] = cells
     return cells.size
-
-
-def _cell_order(touched, counts):
-    # descending count, ascending cell id within equal counts
-    cells = np.sort(touched)
-    return cells[np.argsort(-counts[cells], kind="stable")]
-
-
-def emit_topk(touched, counts, cell_offsets, cell_members, reps, k):
-    order = _cell_order(touched, counts)
-    if order.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int32)
-    spans = [np.arange(cell_offsets[c], cell_offsets[c + 1]) for c in order]
-    stream = cell_members[np.concatenate(spans)].astype(np.int64)
-    pos = np.argsort(stream, kind="stable")
-    vals = stream[pos]
-    group_start = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
-    group_len = np.diff(np.r_[group_start, vals.size])
-    full = group_len >= reps
-    # a point is emitted at the stream position of its reps-th appearance
-    emit_pos = pos[group_start[full] + reps - 1]
-    ids = vals[group_start[full]]
-    first = np.argsort(emit_pos, kind="stable")[:k]
-    ids = ids[first]
-    emit_pos = emit_pos[first]
-    cum = np.cumsum(cell_offsets[order + 1] - cell_offsets[order])
-    emitted_in = order[np.searchsorted(cum, emit_pos, side="right")]
-    out_counts = counts[emitted_in]
-    counts[touched] = 0
-    return ids, out_counts

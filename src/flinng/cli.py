@@ -68,12 +68,10 @@ def cmd_build(args):
     if args.index is None:
         raise ConfigError("missing required flag --index")
     index, seconds = _build_index(points, args, args.B, args.R, args.m)
-    blob = index.to_bytes()
-    with open(args.index, "wb") as fh:
-        fh.write(blob)
+    index.save(args.index)
     print(f"n_points={index.n_points}")
     print(f"build_seconds={seconds:.6f}")
-    print(f"index_bytes={len(blob)}")
+    print(f"index_bytes={index.nbytes}")
     print(f"path={args.index}")
     return 0
 

@@ -9,11 +9,12 @@ point with that code. A query then:
   1. hashes once into m codes,
   2. counts, per cell, how many of the m tables contain the cell under the
      query's code (``cell_counts``),
-  3. either thresholds the counts (``query_threshold``: union passing cells
-     per repetition, intersect across repetitions) or relaxes the threshold
-     (``query_topk``: walk cells by descending count, id ascending on ties,
-     skipping zero-count cells; emit a point the moment it has been seen in
-     R cells; stop after k emissions).
+  3. takes as candidates the members of repetition 0's qualifying cells and
+     checks each candidate's R cells through ``point_cells``: ``query_threshold``
+     keeps those whose R cells all count >= t; ``query_topk`` walks the cells by
+     descending count (ties by ascending id, zero counts skipped) and emits a
+     point in the last of its R cells that the walk reaches, after the smaller
+     ids in that cell, stopping after k emissions.
 
 Top-k results are in emission order, which is not a similarity ranking.
 Indexes are immutable after build and safe for concurrent queries, one
@@ -23,6 +24,7 @@ QueryScratch per thread.
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +84,7 @@ class FlinngConfig:
 
 
 class QueryScratch:
-    """Reusable per-thread query buffers; every kernel re-zeroes what it touched."""
+    """Reusable per-thread query buffers; every query re-zeroes what it touched."""
 
     def __init__(self, index):
         self.cell_counts = np.zeros(index.config.total_cells, dtype=np.int32)
@@ -201,6 +203,25 @@ class FlinngIndex:
         """Point ids stored in one flat cell (repetition * num_cells + cell)."""
         return self.cell_members[self.cell_offsets[flat_cell] : self.cell_offsets[flat_cell + 1]]
 
+    def _members(self, cells):
+        """Point ids stored in an array of flat cells, concatenated in that order."""
+        starts = self.cell_offsets[cells]
+        sizes = self.cell_offsets[cells + 1] - starts
+        # slot j of cell i's run reads cell_members[starts[i] + j]
+        shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        return self.cell_members[np.arange(shift.size) + shift]
+
+    @cached_property
+    def point_cells(self):
+        """(R, n) flat cell of point p in repetition r; derived on first use, not stored.
+
+        Concurrent first queries may each derive the same array, which is harmless."""
+        B, n = self.config.num_cells, self.n_points
+        cells = np.repeat(np.arange(self.config.total_cells), np.diff(self.cell_offsets))
+        out = np.empty(self.cell_members.size, dtype=np.intp)
+        out[cells // B * n + self.cell_members] = cells
+        return out.reshape(self.config.repetitions, n)
+
     def hash_query(self, point):
         if self.config.metric == METRIC_JACCARD:
             return lsh.hash_set(self.family, point)
@@ -251,13 +272,10 @@ class FlinngIndex:
         if not (0 < t <= m):
             raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
         scratch, touched = self._gather(query_codes, scratch)
-        passing = touched[scratch.cell_counts[touched] >= t]
+        ok = scratch.cell_counts >= t
         scratch.cell_counts[touched] = 0
-        if passing.size == 0:
-            return np.empty(0, dtype=np.int64)
-        hits = np.concatenate([self.members_of(c) for c in passing]).astype(np.int64)
-        seen = np.bincount(hits, minlength=self.n_points)
-        return np.flatnonzero(seen == self.config.repetitions)
+        cand = self._members(np.flatnonzero(ok[: self.config.num_cells]))
+        return np.sort(cand[ok[np.take(self.point_cells, cand, axis=1)].all(0)]).astype(np.int64)
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
@@ -271,10 +289,20 @@ class FlinngIndex:
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
         scratch, touched = self._gather(query_codes, scratch)
-        return _kernels.emit_topk(
-            touched, scratch.cell_counts, self.cell_offsets, self.cell_members,
-            self.config.repetitions, k,
-        )
+        counts = scratch.cell_counts
+        # touched is ascending, so a stable sort breaks count ties by cell id
+        order = touched[np.argsort(-counts[touched], kind="stable")]
+        rank = np.full(self.config.total_cells, order.size)
+        rank[order] = np.arange(order.size)
+        cand = self._members(touched[touched < self.config.num_cells])
+        last = rank[np.take(self.point_cells, cand, axis=1)].max(0)
+        keep = last < order.size
+        # emission order is (last cell reached, id): ids ascend within a cell
+        key = last[keep] * self.n_points + cand[keep]
+        key = np.sort(np.partition(key, k - 1)[:k] if key.size > k else key)
+        out_counts = counts[order[key // self.n_points]]
+        counts[touched] = 0
+        return key % self.n_points, out_counts
 
     # -- serialization ------------------------------------------------------
 

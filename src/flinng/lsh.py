@@ -36,6 +36,8 @@ KIND_MINHASH = "minhash"
 KIND_SRP = "srp"
 
 MAX_L_BITS = 24
+# srp direction floats (m * l_bits * dim) a spec may ask for: 128 MiB
+MAX_SRP_FLOATS = 1 << 24
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
 
@@ -92,6 +94,8 @@ def _validate_spec(spec):
         raise ConfigError("seed must fit in 64 bits")
     if spec.kind == KIND_SRP and (spec.dim is None or spec.dim < 1):
         raise ConfigError("srp families require a positive dim")
+    if spec.kind == KIND_SRP and spec.m * spec.l_bits * spec.dim > MAX_SRP_FLOATS:
+        raise ConfigError(f"srp m * l_bits * dim exceeds {MAX_SRP_FLOATS} direction floats")
 
 
 def build_family(spec: HashFamilySpec) -> HashFamily:

@@ -28,7 +28,8 @@ def test_build_reports_and_writes(six, tmp_path, capsys):
     assert out.exists()
     text = capsys.readouterr().out
     assert "n_points=6" in text
-    assert "index_bytes=" in text and "build_seconds=" in text
+    assert "build_seconds=" in text
+    assert f"index_bytes={out.stat().st_size}\n" in text
 
 
 def test_build_is_byte_deterministic(six, tmp_path):

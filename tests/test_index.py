@@ -420,6 +420,13 @@ def _header_field(idx, offset, value):
     return bytes(blob)
 
 
+def _srp_dim_image(dim):
+    # an m = 2, l_bits = 2, dim = 4 srp image whose header asks for another dim
+    points = np.random.default_rng(0).standard_normal((20, 4))
+    idx = FlinngIndex.build(points, config(4, 2, m=2, l_bits=2, metric="cosine", dim=4))
+    return _header_field(idx, 36, dim)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -428,8 +435,11 @@ def _header_field(idx, offset, value):
         lambda idx: _image(idx, cell_members=idx.cell_members[np.r_[1, 0, 2 : idx.cell_members.size]]),
         _wide_payload_image,
         lambda idx: _header_field(idx, 16, 0),  # R = 0
+        lambda idx: _srp_dim_image(1 << 23),
+        lambda idx: _srp_dim_image((1 << 32) - 1),
     ],
-    ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions"],
+    ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
+         "srp-dim-2^23", "srp-dim-2^32-1"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50
@@ -463,6 +473,18 @@ def test_fuzzed_image_rejected_or_answers_in_range(token_corpus_50, data):
         ):
             assert ((ids >= 0) & (ids < clone.n_points)).all()
         scratch.assert_clean()
+
+
+def test_point_cells_name_the_cell_holding_each_point(token_corpus_50):
+    _, idx = token_corpus_50
+    B, R, n = idx.config.num_cells, idx.config.repetitions, idx.n_points
+    for index in (idx, FlinngIndex.from_bytes(idx.to_bytes())):
+        assert index.point_cells.shape == (R, n)
+        for r in range(R):
+            for p in range(n):
+                cell = index.point_cells[r, p]
+                assert r * B <= cell < (r + 1) * B
+                assert p in index.members_of(cell)
 
 
 def test_save_load_file(tmp_path, token_corpus_50):

@@ -59,18 +59,20 @@ def _reference_emission(idx, counts, k):
     return ids, at
 
 
-def test_gather_and_emit_match_plain_references():
-    points, idx = small_index(n=80, B=10, R=3, m=12, l_bits=8, seed=2)
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_gather_and_emit_match_plain_references(R):
     rng = np.random.default_rng(0)
-    # random codes fire few cells; the points' own codes fire many
-    fixtures = [rng.integers(0, 1 << 8, 12).astype(np.uint32) for _ in range(10)]
-    fixtures += [idx.hash_query(p) for p in points[:10]]
-    scratch = QueryScratch(idx)
-    for codes in fixtures:
-        counts = _reference_counts(idx, codes)
-        assert np.array_equal(idx.cell_counts(codes, scratch), counts)
-        scratch.assert_clean()
-        for k in (1, 3, idx.n_points):
-            ids, at = idx.query_topk_codes_trace(codes, k, scratch)
+    for l_bits in (8, 2):  # a 2-bit alphabet fires most cells, with frequent count ties
+        points, idx = small_index(n=80, B=10, R=R, m=12, l_bits=l_bits, seed=2)
+        # random codes fire few cells; the points' own codes fire many
+        fixtures = [rng.integers(0, 1 << l_bits, 12).astype(np.uint32) for _ in range(10)]
+        fixtures += [idx.hash_query(p) for p in points[:10]]
+        scratch = QueryScratch(idx)
+        for codes in fixtures:
+            counts = _reference_counts(idx, codes)
+            assert np.array_equal(idx.cell_counts(codes, scratch), counts)
             scratch.assert_clean()
-            assert (ids.tolist(), at.tolist()) == _reference_emission(idx, counts, k)
+            for k in (1, 3, idx.n_points):
+                ids, at = idx.query_topk_codes_trace(codes, k, scratch)
+                scratch.assert_clean()
+                assert (ids.tolist(), at.tolist()) == _reference_emission(idx, counts, k)

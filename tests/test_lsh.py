@@ -42,6 +42,7 @@ def test_build_family_srp_seed_changes_directions():
         lsh.HashFamilySpec("srp", m=2, l_bits=12, seed=1),
         lsh.HashFamilySpec("srp", m=2, l_bits=12, seed=1, dim=0),
         lsh.HashFamilySpec("mystery", m=2, l_bits=12, seed=1),
+        lsh.HashFamilySpec("srp", m=2, l_bits=2, seed=1, dim=lsh.MAX_SRP_FLOATS // 4 + 1),
     ],
 )
 def test_invalid_specs_rejected(spec):
