@@ -62,5 +62,8 @@ def gaussian_stream(seed, n):
 
 
 def permutation(seed, n):
-    """Deterministic permutation of range(n): stable argsort of a key stream."""
-    return np.argsort(key_stream(seed, n), kind="stable")
+    """Deterministic permutation of range(n): argsort of a key stream.
+
+    The keys are distinct (mix64 is a bijection and GAMMA is odd), so every
+    sort kind gives the same permutation."""
+    return np.argsort(key_stream(seed, n))

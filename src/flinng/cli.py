@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dataio, oracle, theory
 from .errors import ConfigError, DomainError, FlinngError, FormatError, InputError
-from .index import FlinngConfig, FlinngIndex, QueryScratch
+from .index import FlinngConfig, FlinngIndex
 from .lsh import HashFamilySpec
 
 EXIT_CODES = (
@@ -81,10 +81,9 @@ def cmd_query(args):
     queries = _load_queries(args.queries, index.config.metric, "--queries")
     if args.t is None:
         raise ConfigError("missing required flag --t")
-    scratch = QueryScratch(index)
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
-            ids = index.query_threshold(q, args.t, scratch)
+            ids = index.query_threshold(q, args.t)
             fh.write(" ".join(str(int(i)) for i in ids))
             fh.write("\n")
     return 0
@@ -93,11 +92,10 @@ def cmd_query(args):
 def cmd_topk(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
     queries = _load_queries(args.queries, index.config.metric, "--queries")
-    scratch = QueryScratch(index)
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
             start = time.perf_counter_ns()
-            ids = index.query_topk(q, args.k, scratch)
+            ids = index.query_topk(q, args.k)
             elapsed = time.perf_counter_ns() - start
             fh.write(" ".join(str(int(i)) for i in ids))
             if args.latency:
@@ -192,14 +190,13 @@ def cmd_bench(args):
     rows = []
     for B, R, m in itertools.product(args.B, args.R, args.m):
         index, build_seconds = _build_index(points, args, B, R, m)
-        scratch = QueryScratch(index)
         if queries:
-            index.query_topk(queries[0], args.k, scratch)  # keep first-call costs out of the latencies
+            index.query_topk(queries[0], args.k)  # keep first-call costs out of the latencies
         latencies = []
         results = []
         for q in queries:
             start = time.perf_counter_ns()
-            ids = index.query_topk(q, args.k, scratch)
+            ids = index.query_topk(q, args.k)
             latencies.append(time.perf_counter_ns() - start)
             results.append(ids)
         report = oracle.evaluate(results, truth, [args.k])

@@ -17,8 +17,8 @@ point with that code. A query then:
      ids in that cell, stopping after k emissions.
 
 Top-k results are in emission order, which is not a similarity ranking.
-Indexes are immutable after build and safe for concurrent queries, one
-QueryScratch per thread.
+Indexes are immutable after build, and queries keep no state between calls,
+so one index serves concurrent queries with no per-thread buffers.
 """
 
 import struct
@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels, lsh
+from . import lsh
 from ._prng import TAG_PERMUTATION, derive, permutation
 from .errors import ConfigError, FormatError, InputError
 
@@ -84,15 +84,19 @@ class FlinngConfig:
 
 
 class QueryScratch:
-    """Reusable per-thread query buffers; every query re-zeroes what it touched."""
+    """Accepted by every query method for compatibility; every query ignores it."""
 
     def __init__(self, index):
-        self.cell_counts = np.zeros(index.config.total_cells, dtype=np.int32)
-        self.touched = np.empty(index.config.total_cells, dtype=np.int64)
+        pass
 
-    def assert_clean(self):
-        """Debug sweep: verify every scratch slot was reset after the last query."""
-        assert not self.cell_counts.any(), "cell counts were not reset"
+
+def _ragged(offsets, values, rows):
+    """values[offsets[r]:offsets[r + 1]] for each r in rows, concatenated in that order."""
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    # slot j of row i's run reads values[starts[i] + j]
+    shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    return values[np.arange(shift.size) + shift]
 
 
 def _check_membership(cell_offsets, cell_members, B, R, n):
@@ -203,14 +207,6 @@ class FlinngIndex:
         """Point ids stored in one flat cell (repetition * num_cells + cell)."""
         return self.cell_members[self.cell_offsets[flat_cell] : self.cell_offsets[flat_cell + 1]]
 
-    def _members(self, cells):
-        """Point ids stored in an array of flat cells, concatenated in that order."""
-        starts = self.cell_offsets[cells]
-        sizes = self.cell_offsets[cells + 1] - starts
-        # slot j of cell i's run reads cell_members[starts[i] + j]
-        shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-        return self.cell_members[np.arange(shift.size) + shift]
-
     @cached_property
     def point_cells(self):
         """(R, n) flat cell of point p in repetition r; derived on first use, not stored.
@@ -229,18 +225,8 @@ class FlinngIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def _gather(self, query_codes, scratch):
-        """Validate one query's codes and scratch, then count collisions per cell.
-
-        Returns the scratch and its touched cells, whose counts are left in
-        ``scratch.cell_counts``; the caller resets them.
-        """
-        if scratch is None:
-            scratch = QueryScratch(self)
-        else:
-            total = (self.config.total_cells,)
-            if (scratch.cell_counts.shape, scratch.touched.shape) != (total, total):
-                raise InputError("scratch was sized for a different index")
+    def _gather(self, query_codes):
+        """Validate one query's codes, then count collisions per cell (int32, B*R)."""
         spec = self.config.hash_spec
         codes = np.asarray(query_codes)
         if codes.dtype.kind not in "iu":
@@ -249,60 +235,50 @@ class FlinngIndex:
             raise InputError(f"expected {spec.m} query codes")
         if codes.min() < 0 or codes.max() >= 1 << spec.l_bits:
             raise InputError(f"query codes must lie in [0, 2**{spec.l_bits})")
-        codes = np.ascontiguousarray(codes, dtype=np.uint32)
-        n_touched = _kernels.gather_counts(
-            self.table_offsets, self.table_payload, codes, 1 << spec.l_bits,
-            scratch.cell_counts, scratch.touched,
-        )
-        return scratch, scratch.touched[:n_touched]
+        buckets = (np.arange(spec.m) << spec.l_bits) + codes.astype(np.int64)
+        hits = _ragged(self.table_offsets, self.table_payload, buckets)
+        return np.bincount(hits, minlength=self.config.total_cells).astype(np.int32)
 
     def cell_counts(self, query_codes, scratch=None):
         """Per-cell collision counts in [0, m] for one query's codes."""
-        scratch, touched = self._gather(query_codes, scratch)
-        out = scratch.cell_counts.copy()
-        scratch.cell_counts[touched] = 0
-        return out
+        return self._gather(query_codes)
 
     def query_threshold(self, query, t, scratch=None):
         """Ids passing the count threshold in every repetition (ascending order)."""
-        return self.query_threshold_codes(self.hash_query(query), t, scratch)
+        return self.query_threshold_codes(self.hash_query(query), t)
 
     def query_threshold_codes(self, query_codes, t, scratch=None):
         m = self.config.hash_spec.m
         if not (0 < t <= m):
             raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
-        scratch, touched = self._gather(query_codes, scratch)
-        ok = scratch.cell_counts >= t
-        scratch.cell_counts[touched] = 0
-        cand = self._members(np.flatnonzero(ok[: self.config.num_cells]))
+        ok = self._gather(query_codes) >= t
+        cand = _ragged(self.cell_offsets, self.cell_members, np.flatnonzero(ok[: self.config.num_cells]))
         return np.sort(cand[ok[np.take(self.point_cells, cand, axis=1)].all(0)]).astype(np.int64)
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
-        return self.query_topk_codes_trace(self.hash_query(query), k, scratch)[0]
+        return self.query_topk_codes_trace(self.hash_query(query), k)[0]
 
     def query_topk_codes(self, query_codes, k, scratch=None):
-        return self.query_topk_codes_trace(query_codes, k, scratch)[0]
+        return self.query_topk_codes_trace(query_codes, k)[0]
 
     def query_topk_codes_trace(self, query_codes, k, scratch=None):
         """Top-k ids plus, per emission, the collision count of the emitting cell."""
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
-        scratch, touched = self._gather(query_codes, scratch)
-        counts = scratch.cell_counts
+        counts = self._gather(query_codes)
+        touched = np.flatnonzero(counts)
         # touched is ascending, so a stable sort breaks count ties by cell id
         order = touched[np.argsort(-counts[touched], kind="stable")]
         rank = np.full(self.config.total_cells, order.size)
         rank[order] = np.arange(order.size)
-        cand = self._members(touched[touched < self.config.num_cells])
+        cand = _ragged(self.cell_offsets, self.cell_members, touched[touched < self.config.num_cells])
         last = rank[np.take(self.point_cells, cand, axis=1)].max(0)
         keep = last < order.size
         # emission order is (last cell reached, id): ids ascend within a cell
         key = last[keep] * self.n_points + cand[keep]
         key = np.sort(np.partition(key, k - 1)[:k] if key.size > k else key)
-        out_counts = counts[order[key // self.n_points]]
-        counts[touched] = 0
-        return key % self.n_points, out_counts
+        return key % self.n_points, counts[order[key // self.n_points]]
 
     # -- serialization ------------------------------------------------------
 
@@ -386,11 +362,11 @@ class FlinngIndex:
         table_offsets = np.frombuffer(buf[off : off + sizes[2]], dtype="<i8").astype(np.int64)
         off += sizes[2]
         table_payload = np.frombuffer(buf[off:], dtype=f"<u{width}").astype(config.cell_dtype)
-        if cell_offsets[0] != 0 or cell_offsets[-1] != R * n_points or (np.diff(cell_offsets) < 0).any():
-            raise FormatError("corrupt membership offsets")
-        if table_offsets[0] != 0 or table_offsets[-1] != payload_len or (np.diff(table_offsets) < 0).any():
-            raise FormatError("corrupt reverse-table offsets")
-        if payload_len and (table_payload.astype(np.int64) >= total).any():
+        for name, offsets, end in (("membership", cell_offsets, R * n_points),
+                                   ("reverse-table", table_offsets, payload_len)):
+            if offsets[0] != 0 or offsets[-1] != end or (offsets[1:] < offsets[:-1]).any():
+                raise FormatError(f"corrupt {name} offsets")
+        if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
         _check_membership(cell_offsets, cell_members, B, R, n_points)
         family = lsh.build_family(spec)

@@ -12,6 +12,8 @@ Two families are provided, one per similarity:
     direction, colliding with probability 1 - angle / pi.
 
 A code packs its l_bits single-bit hashes with hash j at bit position j.
+``minhash_codes`` is the MinHash kernel: integer math over slabs of tokens, so
+codes are bit-for-bit reproducible.
 Families are frozen after construction and safe to share across query
 threads. Same spec means bit-identical family, codes, and downstream index.
 """
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._prng import (
     TAG_ESTIMATOR,
     TAG_MINHASH_KEYS,
@@ -40,6 +41,8 @@ MAX_L_BITS = 24
 MAX_SRP_FLOATS = 1 << 24
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
+# u64 elements allowed per intermediate slab in the hash kernel
+_SLAB_BUDGET = 1 << 16
 
 
 def token_set(values):
@@ -134,6 +137,30 @@ def _check_dense(family, v):
     return v
 
 
+def minhash_codes(flat_tokens, offsets, keys, l_bits):
+    """(n, m) uint32 codes of the n token sets flat_tokens[offsets[i]:offsets[i + 1]]."""
+    n = offsets.shape[0] - 1
+    m = keys.shape[0] // l_bits
+    out = np.empty((n, m), dtype=np.uint32)
+    shifts = np.arange(l_bits, dtype=np.uint32)
+    one = np.uint64(1)
+    max_tokens = max(1, _SLAB_BUDGET // l_bits)
+    start = 0
+    while start < n:
+        # grow the point slab until its token span hits the budget
+        stop = int(np.searchsorted(offsets, offsets[start] + max_tokens, side="right")) - 1
+        stop = min(n, max(stop, start + 1))
+        toks = flat_tokens[offsets[start] : offsets[stop]]
+        local = offsets[start : stop + 1] - offsets[start]
+        for i in range(m):
+            mixed = mix64(toks[:, None] ^ keys[i * l_bits : (i + 1) * l_bits][None, :])
+            mins = np.minimum.reduceat(mixed, local[:-1], axis=0)
+            bits = (mins & one).astype(np.uint32)
+            out[start:stop, i] = np.bitwise_or.reduce(bits << shifts, axis=1)
+        start = stop
+    return out
+
+
 def hash_set_many(family: HashFamily, points) -> np.ndarray:
     """Hash a list of token sets; returns an (n, m) uint32 code matrix."""
     if family.spec.kind != KIND_MINHASH:
@@ -149,7 +176,7 @@ def hash_set_many(family: HashFamily, points) -> np.ndarray:
         if arr.dtype.kind not in "iu":
             raise InputError(f"point {i}: token sets must hold integers, got {arr.dtype}")
         flat[offsets[i] : offsets[i + 1]] = arr.astype(np.uint64)
-    return _kernels.minhash_codes(flat, offsets, family.keys, family.spec.l_bits)
+    return minhash_codes(flat, offsets, family.keys, family.spec.l_bits)
 
 
 def hash_set(family: HashFamily, x) -> np.ndarray:

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,18 +297,35 @@ def test_exact_match_recall_over_seeds():
 
 
 def test_scratch_reuse_and_clean(token_corpus_50):
+    # queries ignore the scratch: one from this index, reused, or from another
+    # grid gives the answers of no scratch at all
     points, idx = token_corpus_50
-    scratch = QueryScratch(idx)
-    first = [idx.query_topk(p, 5, scratch).tolist() for p in points[:5]]
-    scratch.assert_clean()
-    second = [idx.query_topk(p, 5, scratch).tolist() for p in points[:5]]
-    assert first == second
-    fresh = [idx.query_topk(p, 5).tolist() for p in points[:5]]
-    assert first == fresh
     t = idx.config.hash_spec.m // 2
-    passed = [idx.query_threshold(p, t, scratch).tolist() for p in points[:5]]
-    scratch.assert_clean()
-    assert passed == [idx.query_threshold(p, t).tolist() for p in points[:5]]
+
+    def answers(scratch):
+        return ([idx.query_topk(p, 5, scratch).tolist() for p in points[:5]],
+                [idx.query_threshold(p, t, scratch).tolist() for p in points[:5]],
+                [idx.cell_counts(idx.hash_query(p), scratch).tolist() for p in points[:5]])
+
+    fresh = answers(None)
+    scratch = QueryScratch(idx)
+    assert answers(scratch) == fresh
+    assert answers(scratch) == fresh
+    assert answers(QueryScratch(codes_index(np.zeros((20, 8)), B=3, R=2))) == fresh
+
+
+def test_threads_sharing_a_scratch_answer_as_serial(token_corpus_50):
+    points, idx = token_corpus_50
+    t = idx.config.hash_spec.m // 2
+    scratch = QueryScratch(idx)
+
+    def answer(p):
+        return idx.query_topk(p, 5, scratch).tolist(), idx.query_threshold(p, t, scratch).tolist()
+
+    serial = [answer(p) for p in points]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(5):
+            assert list(pool.map(answer, points)) == serial
 
 
 @pytest.mark.parametrize(
@@ -332,22 +351,6 @@ def test_query_code_out_of_range_rejected(bad):
         idx.query_topk_codes(q, 3)
     with pytest.raises(InputError, match="query codes"):
         idx.query_threshold_codes(q, 1)
-
-
-def test_scratch_from_another_index_rejected():
-    idx = codes_index(np.zeros((20, 8)), B=3, R=2)
-    q = np.zeros(8, dtype=np.uint32)
-    for other in (codes_index(np.zeros((20, 8)), B=3, R=3), codes_index(np.zeros((20, 8)), B=4, R=2)):
-        scratch = QueryScratch(other)
-        with pytest.raises(InputError, match="scratch"):
-            idx.cell_counts(q, scratch)
-        with pytest.raises(InputError, match="scratch"):
-            idx.query_topk_codes(q, 3, scratch)
-        with pytest.raises(InputError, match="scratch"):
-            idx.query_threshold_codes(q, 1, scratch)
-    # the buffers are sized by the grid alone, so a same-grid scratch fits
-    scratch = QueryScratch(codes_index(np.zeros((21, 8)), B=3, R=2))
-    assert np.array_equal(idx.query_topk_codes(q, 3, scratch), idx.query_topk_codes(q, 3))
 
 
 def test_candidate_shrinkage_matches_expectation():
@@ -447,10 +450,17 @@ def test_corrupt_image_rejected(token_corpus_50, corrupt):
         FlinngIndex.from_bytes(corrupt(idx))
 
 
+@pytest.fixture(scope="module")
+def srp_corpus_50():
+    points = np.random.default_rng(4).standard_normal((50, 8))
+    return points, FlinngIndex.build(points, config(8, 3, m=16, l_bits=4, metric="cosine", dim=8))
+
+
+@pytest.mark.parametrize("corpus", ["token_corpus_50", "srp_corpus_50"], ids=["minhash", "srp"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_fuzzed_image_rejected_or_answers_in_range(token_corpus_50, data):
-    points, idx = token_corpus_50
+def test_fuzzed_image_rejected_or_answers_in_range(request, corpus, data):
+    points, idx = request.getfixturevalue(corpus)
     blob = bytearray(idx.to_bytes())
     # half the flips land in the header and memberships, the rest anywhere
     front = len(blob) - idx.table_offsets.nbytes - idx.table_payload.nbytes
@@ -462,17 +472,15 @@ def test_fuzzed_image_rejected_or_answers_in_range(token_corpus_50, data):
         clone = FlinngIndex.from_bytes(bytes(blob[:cut]))
     except FormatError:
         return
-    scratch = QueryScratch(clone)
     m = idx.config.hash_spec.m
     for p in points[:3]:
         codes = idx.hash_query(p)
         for ids in (
-            clone.query_topk_codes(codes, 10, scratch),
-            clone.query_threshold_codes(codes, 1, scratch),
-            clone.query_threshold_codes(codes, m, scratch),
+            clone.query_topk_codes(codes, 10),
+            clone.query_threshold_codes(codes, 1),
+            clone.query_threshold_codes(codes, m),
         ):
             assert ((ids >= 0) & (ids < clone.n_points)).all()
-        scratch.assert_clean()
 
 
 def test_point_cells_name_the_cell_holding_each_point(token_corpus_50):

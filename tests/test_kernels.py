@@ -1,13 +1,12 @@
-"""The numpy kernels against plain per-point and per-cell references."""
+"""The MinHash kernel and the query path against plain per-point and per-cell references."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from flinng import _kernels
+from flinng import lsh
 from flinng._prng import key_stream, mix64
-from flinng.index import QueryScratch
 from tests.conftest import random_token_points, small_index
 
 
@@ -21,7 +20,7 @@ def _ragged(points):
 @pytest.mark.parametrize("l_bits", [1, 6, 16])
 def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
     # bit j of code i is the parity of min over tokens of mix64(token ^ key)
-    monkeypatch.setattr(_kernels, "_SLAB_BUDGET", 64)  # many slabs
+    monkeypatch.setattr(lsh, "_SLAB_BUDGET", 64)  # many slabs
     points = random_token_points(40, 25, seed=5)
     flat, offsets = _ragged(points)
     m = 4
@@ -30,7 +29,7 @@ def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
         [sum(int(mix64(p ^ keys[i * l_bits + j]).min() & 1) << j for j in range(l_bits)) for i in range(m)]
         for p in points
     ]
-    assert _kernels.minhash_codes(flat, offsets, keys, l_bits).tolist() == expect
+    assert lsh.minhash_codes(flat, offsets, keys, l_bits).tolist() == expect
 
 
 def _reference_counts(idx, codes):
@@ -67,12 +66,9 @@ def test_gather_and_emit_match_plain_references(R):
         # random codes fire few cells; the points' own codes fire many
         fixtures = [rng.integers(0, 1 << l_bits, 12).astype(np.uint32) for _ in range(10)]
         fixtures += [idx.hash_query(p) for p in points[:10]]
-        scratch = QueryScratch(idx)
         for codes in fixtures:
             counts = _reference_counts(idx, codes)
-            assert np.array_equal(idx.cell_counts(codes, scratch), counts)
-            scratch.assert_clean()
+            assert np.array_equal(idx.cell_counts(codes), counts)
             for k in (1, 3, idx.n_points):
-                ids, at = idx.query_topk_codes_trace(codes, k, scratch)
-                scratch.assert_clean()
+                ids, at = idx.query_topk_codes_trace(codes, k)
                 assert (ids.tolist(), at.tolist()) == _reference_emission(idx, counts, k)
