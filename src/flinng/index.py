@@ -148,7 +148,7 @@ class FlinngIndex:
         if config.metric == METRIC_JACCARD:
             codes = lsh.hash_set_many(family, points)
         else:
-            mat = np.asarray(points, dtype=np.float64)
+            mat = np.asarray(points)
             if mat.ndim != 2:
                 raise InputError("cosine metric expects a homogeneous (n, dim) matrix")
             codes = lsh.hash_dense_many(family, mat)

@@ -13,7 +13,8 @@ Two families are provided, one per similarity:
 
 A code packs its l_bits single-bit hashes with hash j at bit position j.
 ``minhash_codes`` is the MinHash kernel: integer math over slabs of tokens, so
-codes are bit-for-bit reproducible.
+codes are bit-for-bit reproducible. ``hash_dense_many`` projects row slabs of
+the same budget, so neither kernel holds more than one slab's intermediates.
 Families are frozen after construction and safe to share across query
 threads. Same spec means bit-identical family, codes, and downstream index.
 """
@@ -41,7 +42,7 @@ MAX_L_BITS = 24
 MAX_SRP_FLOATS = 1 << 24
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
-# u64 elements allowed per intermediate slab in the hash kernel
+# 8-byte elements allowed per intermediate slab in the hash kernels
 _SLAB_BUDGET = 1 << 16
 
 
@@ -188,19 +189,25 @@ def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
     """Hash rows of an (n, dim) matrix; returns an (n, m) uint32 code matrix."""
     if family.spec.kind != KIND_SRP:
         raise InputError("hash_dense requires an srp family")
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[1] != family.spec.dim:
         raise InputError(f"matrix must be (n, {family.spec.dim})")
-    if not np.isfinite(mat).all():
-        raise InputError("vector entries must be finite")
-    norms = np.einsum("ij,ij->i", mat, mat)
-    if (norms == 0).any():
-        raise InputError(f"point {int(np.flatnonzero(norms == 0)[0])} is a zero vector")
-    bits = (mat @ family.directions.T >= 0.0).astype(np.uint32)
-    l_bits = family.spec.l_bits
+    n, m, l_bits = mat.shape[0], family.spec.m, family.spec.l_bits
+    out = np.empty((n, m), dtype=np.uint32)
     shifts = np.arange(l_bits, dtype=np.uint32)
-    grouped = bits.reshape(mat.shape[0], family.spec.m, l_bits)
-    return np.bitwise_or.reduce(grouped << shifts, axis=2)
+    rows = max(1, _SLAB_BUDGET // (m * l_bits))
+    for start in range(0, n, rows):
+        # one slab of rows: its projections stay within the budget
+        slab = np.asarray(mat[start : start + rows], dtype=np.float64)
+        if not np.isfinite(slab).all():
+            raise InputError("vector entries must be finite")
+        zero = np.flatnonzero(np.einsum("ij,ij->i", slab, slab) == 0)
+        if zero.size:
+            raise InputError(f"point {start + int(zero[0])} is a zero vector")
+        bits = (slab @ family.directions.T >= 0.0).astype(np.uint32)
+        grouped = bits.reshape(slab.shape[0], m, l_bits)
+        out[start : start + rows] = np.bitwise_or.reduce(grouped << shifts, axis=2)
+    return out
 
 
 def hash_dense(family: HashFamily, v) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The MinHash kernel and the query path against plain per-point and per-cell references."""
+"""The hash kernels and the query path against plain per-point and per-cell references."""
 
 from collections import Counter
 
@@ -7,6 +7,7 @@ import pytest
 
 from flinng import lsh
 from flinng._prng import key_stream, mix64
+from flinng.errors import InputError
 from tests.conftest import random_token_points, small_index
 
 
@@ -30,6 +31,23 @@ def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
         for p in points
     ]
     assert lsh.minhash_codes(flat, offsets, keys, l_bits).tolist() == expect
+
+
+def test_dense_codes_match_whole_matrix_reference(monkeypatch):
+    # bit j of code i is the sign of the projection on direction i * l_bits + j
+    monkeypatch.setattr(lsh, "_SLAB_BUDGET", 64)  # slabs of 4 rows, the last one short
+    m, l_bits = 4, 4
+    fam = lsh.build_family(lsh.HashFamilySpec("srp", m=m, l_bits=l_bits, seed=3, dim=8))
+    mat = np.random.default_rng(2).standard_normal((30, 8)).astype(np.float32)
+    bits = mat.astype(np.float64) @ fam.directions.T >= 0
+    expect = [
+        [sum(int(bits[p, i * l_bits + j]) << j for j in range(l_bits)) for i in range(m)]
+        for p in range(30)
+    ]
+    assert lsh.hash_dense_many(fam, mat).tolist() == expect
+    mat[9] = 0  # third slab: the error names the row, not its slab position
+    with pytest.raises(InputError, match="point 9 is a zero vector"):
+        lsh.hash_dense_many(fam, mat)
 
 
 def _reference_counts(idx, codes):
