@@ -46,6 +46,11 @@ _METRICS = (METRIC_JACCARD, METRIC_COSINE)
 MAX_REPETITIONS = 255
 
 
+def _image_dtypes(width):
+    """Image dtypes of cell_offsets, cell_members, table_offsets and table_payload."""
+    return np.dtype("<i8"), np.dtype("<u4"), np.dtype("<i8"), np.dtype(f"<u{width}")
+
+
 @dataclass(frozen=True)
 class FlinngConfig:
     """Grid shape (num_cells x repetitions), hash family spec, and metric."""
@@ -148,10 +153,7 @@ class FlinngIndex:
         if config.metric == METRIC_JACCARD:
             codes = lsh.hash_set_many(family, points)
         else:
-            mat = np.asarray(points)
-            if mat.ndim != 2:
-                raise InputError("cosine metric expects a homogeneous (n, dim) matrix")
-            codes = lsh.hash_dense_many(family, mat)
+            codes = lsh.hash_dense_many(family, points)
         return cls.from_codes(codes, config, family=family)
 
     @classmethod
@@ -191,7 +193,8 @@ class FlinngIndex:
         for i in range(m):
             # unique (bucket, cell) pairs for table i, sorted by bucket then cell
             composite = (codes[:, i].astype(np.int64) * total)[:, None] + cells_t
-            uniq = np.unique(composite.ravel())
+            keys = np.sort(composite, axis=None)
+            uniq = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
             buckets = uniq // total
             payloads.append((uniq % total).astype(config.cell_dtype))
             bucket_sizes.append(np.bincount(buckets, minlength=table_size))
@@ -282,14 +285,8 @@ class FlinngIndex:
 
     # -- serialization ------------------------------------------------------
 
-    @property
-    def nbytes(self):
-        """Size of the ``to_bytes`` image: the header plus every array."""
-        arrays = (self.cell_offsets, self.cell_members, self.table_offsets, self.table_payload)
-        return _HEADER.size + sum(a.nbytes for a in arrays)
-
-    def to_bytes(self) -> bytes:
-        """Little-endian byte image; layout documented in the README."""
+    def _image_parts(self):
+        """The header, then the four arrays in image order as little-endian contiguous arrays."""
         cfg = self.config
         spec = cfg.hash_spec
         width = np.dtype(cfg.cell_dtype).itemsize
@@ -310,17 +307,21 @@ class FlinngIndex:
             self.n_points,
             self.table_payload.shape[0],
         )
-        parts = [
-            header,
-            self.cell_offsets.astype("<i8").tobytes(),
-            self.cell_members.astype("<u4").tobytes(),
-            self.table_offsets.astype("<i8").tobytes(),
-            self.table_payload.astype(f"<u{width}").tobytes(),
-        ]
-        return b"".join(parts)
+        arrays = (self.cell_offsets, self.cell_members, self.table_offsets, self.table_payload)
+        return [header] + [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, _image_dtypes(width))]
+
+    @property
+    def nbytes(self):
+        """Size of the ``to_bytes`` image: the header plus every array."""
+        return sum(memoryview(part).nbytes for part in self._image_parts())
+
+    def to_bytes(self) -> bytes:
+        """Little-endian byte image; layout documented in the README."""
+        return b"".join(self._image_parts())
 
     @classmethod
     def from_bytes(cls, buf: bytes):
+        """Check an image and view its arrays, read-only, in one private copy of ``buf``."""
         if len(buf) < _HEADER.size:
             raise FormatError("index image truncated before the header")
         (magic, version, kind_i, metric_i, width, _r0, B, R, m, l_bits, seed, dim, _r1,
@@ -343,25 +344,19 @@ class FlinngIndex:
         if width != np.dtype(config.cell_dtype).itemsize:
             raise FormatError(f"cell id width {width} does not match a grid of {B * R} cells")
         total = B * R
-        table_size = 1 << l_bits
-        sizes = [
-            (total + 1) * 8,
-            R * n_points * 4,
-            (m * table_size + 1) * 8,
-            payload_len * width,
-        ]
-        if len(buf) != _HEADER.size + sum(sizes):
-            raise FormatError(
-                f"index image is {len(buf)} bytes, expected {_HEADER.size + sum(sizes)}"
-            )
+        dtypes = _image_dtypes(width)
+        counts = (total + 1, R * n_points, m * (1 << l_bits) + 1, payload_len)
+        # Python ints: a corrupt n_points cannot overflow the expected size
+        expected = _HEADER.size + sum(c * d.itemsize for c, d in zip(counts, dtypes))
+        if len(buf) != expected:
+            raise FormatError(f"index image is {len(buf)} bytes, expected {expected}")
+        buf = bytes(buf)  # copies only a mutable buffer, which its owner could rewrite later
+        arrays = []
         off = _HEADER.size
-        cell_offsets = np.frombuffer(buf[off : off + sizes[0]], dtype="<i8").astype(np.int64)
-        off += sizes[0]
-        cell_members = np.frombuffer(buf[off : off + sizes[1]], dtype="<u4").astype(np.uint32)
-        off += sizes[1]
-        table_offsets = np.frombuffer(buf[off : off + sizes[2]], dtype="<i8").astype(np.int64)
-        off += sizes[2]
-        table_payload = np.frombuffer(buf[off:], dtype=f"<u{width}").astype(config.cell_dtype)
+        for count, dtype in zip(counts, dtypes):
+            arrays.append(np.frombuffer(buf, dtype, count, off))
+            off += count * dtype.itemsize
+        cell_offsets, cell_members, table_offsets, table_payload = arrays
         for name, offsets, end in (("membership", cell_offsets, R * n_points),
                                    ("reverse-table", table_offsets, payload_len)):
             if offsets[0] != 0 or offsets[-1] != end or (offsets[1:] < offsets[:-1]).any():
@@ -374,7 +369,7 @@ class FlinngIndex:
 
     def save(self, path):
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.writelines(self._image_parts())
 
     @classmethod
     def load(cls, path):

@@ -118,26 +118,6 @@ def build_family(spec: HashFamilySpec) -> HashFamily:
     return HashFamily(spec=spec, keys=None, directions=flat.reshape(n_bits, spec.dim))
 
 
-def _check_tokens(x):
-    x = np.asarray(x, dtype=np.uint64)
-    if x.size == 0:
-        raise InputError("cannot hash an empty token set")
-    return x
-
-
-def _check_dense(family, v):
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != family.spec.dim:
-        raise InputError(
-            f"vector has dim {v.shape[-1] if v.ndim else 0}, family expects {family.spec.dim}"
-        )
-    if not np.isfinite(v).all():
-        raise InputError("vector entries must be finite")
-    if not v.any():
-        raise InputError("cannot hash the zero vector")
-    return v
-
-
 def minhash_codes(flat_tokens, offsets, keys, l_bits):
     """(n, m) uint32 codes of the n token sets flat_tokens[offsets[i]:offsets[i + 1]]."""
     n = offsets.shape[0] - 1
@@ -174,15 +154,17 @@ def hash_set_many(family: HashFamily, points) -> np.ndarray:
     flat = np.empty(offsets[-1], dtype=np.uint64)
     for i, p in enumerate(points):
         arr = np.asarray(p)
-        if arr.dtype.kind not in "iu":
-            raise InputError(f"point {i}: token sets must hold integers, got {arr.dtype}")
-        flat[offsets[i] : offsets[i + 1]] = arr.astype(np.uint64)
+        if arr.dtype.kind not in "iu" or arr.ndim != 1:
+            raise InputError(f"point {i}: token sets must be 1-d integer arrays, got {arr.dtype}")
+        if arr.dtype.kind == "i" and arr.min() < 0:
+            raise InputError(f"point {i}: token ids must be non-negative")
+        flat[offsets[i] : offsets[i + 1]] = arr
     return minhash_codes(flat, offsets, family.keys, family.spec.l_bits)
 
 
 def hash_set(family: HashFamily, x) -> np.ndarray:
     """Hash one token set to its m codes."""
-    return hash_set_many(family, [_check_tokens(x)])[0]
+    return hash_set_many(family, [x])[0]
 
 
 def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
@@ -192,6 +174,8 @@ def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
     mat = np.asarray(matrix)
     if mat.ndim != 2 or mat.shape[1] != family.spec.dim:
         raise InputError(f"matrix must be (n, {family.spec.dim})")
+    if mat.dtype.kind not in "iuf":
+        raise InputError(f"vector entries must be numbers, got dtype {mat.dtype}")
     n, m, l_bits = mat.shape[0], family.spec.m, family.spec.l_bits
     out = np.empty((n, m), dtype=np.uint32)
     shifts = np.arange(l_bits, dtype=np.uint32)
@@ -212,7 +196,10 @@ def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
 
 def hash_dense(family: HashFamily, v) -> np.ndarray:
     """Hash one dense vector to its m codes."""
-    return hash_dense_many(family, _check_dense(family, v)[None, :])[0]
+    v = np.asarray(v)
+    if v.ndim != 1:
+        raise InputError(f"expected one vector, got an array of shape {v.shape}")
+    return hash_dense_many(family, v[None, :])[0]
 
 
 def estimate_collision(kind, x, y, trials, seed=0):
@@ -225,8 +212,10 @@ def estimate_collision(kind, x, y, trials, seed=0):
         raise InputError("trials must be >= 1")
     sub = derive(seed, TAG_ESTIMATOR)
     if kind == KIND_MINHASH:
-        x = _check_tokens(x)
-        y = _check_tokens(y)
+        x = token_set(x)
+        y = token_set(y)
+        if x.size == 0 or y.size == 0:
+            raise InputError("cannot hash an empty token set")
         keys = key_stream(sub, trials)
         bx = mix64(x[:, None] ^ keys[None, :]).min(axis=0) & np.uint64(1)
         by = mix64(y[:, None] ^ keys[None, :]).min(axis=0) & np.uint64(1)

@@ -353,6 +353,16 @@ def test_query_code_out_of_range_rejected(bad):
         idx.query_threshold_codes(q, 1)
 
 
+@pytest.mark.parametrize("tokens", [[1.5, 2.0], [-1, 2], np.array([-1, 2])],
+                         ids=["float", "negative-list", "negative-array"])
+def test_bad_query_tokens_rejected(token_corpus_50, tokens):
+    _, idx = token_corpus_50
+    with pytest.raises(InputError):
+        idx.query_topk(tokens, 3)
+    with pytest.raises(InputError):
+        idx.query_threshold(tokens, 1)
+
+
 def test_candidate_shrinkage_matches_expectation():
     # cells pass independently at rate rho: survivors shrink like n * rho**R
     rng = np.random.default_rng(5)
@@ -499,5 +509,28 @@ def test_save_load_file(tmp_path, token_corpus_50):
     points, idx = token_corpus_50
     path = tmp_path / "toy.flinng"
     idx.save(path)
+    assert path.read_bytes() == idx.to_bytes()
+    assert path.stat().st_size == idx.nbytes
     clone = FlinngIndex.load(path)
     assert np.array_equal(clone.query_topk(points[0], 3), idx.query_topk(points[0], 3))
+
+
+def test_loaded_arrays_are_read_only(tmp_path, token_corpus_50):
+    _, idx = token_corpus_50
+    path = tmp_path / "toy.flinng"
+    idx.save(path)
+    for index in (FlinngIndex.load(path), FlinngIndex.from_bytes(idx.to_bytes())):
+        for name in ("cell_offsets", "cell_members", "table_offsets", "table_payload"):
+            assert not getattr(index, name).flags.writeable, name
+
+
+def test_from_bytearray_survives_later_writes(token_corpus_50):
+    points, idx = token_corpus_50
+    t = idx.config.hash_spec.m // 2
+    blob = bytearray(idx.to_bytes())
+    clone = FlinngIndex.from_bytes(blob)
+    blob[:] = bytes(len(blob))
+    for p in points[:5]:
+        assert np.array_equal(clone.query_topk(p, 10), idx.query_topk(p, 10))
+        assert np.array_equal(clone.query_threshold(p, t), idx.query_threshold(p, t))
+    assert clone.to_bytes() == idx.to_bytes()

@@ -104,6 +104,28 @@ def test_hash_dense_input_errors():
         lsh.hash_set(fam, lsh.token_set([1, 2]))  # wrong family kind
 
 
+@pytest.mark.parametrize(
+    "tokens",
+    [[1.5, 2.0], [-1, 2], np.array([-1, 2]), np.array([3, -7], dtype=np.int8)],
+    ids=["float", "negative-list", "negative-array", "negative-int8"],
+)
+def test_bad_tokens_rejected(tokens):
+    # unchecked, a float set hashes as its truncation and -1 as 2**64 - 1
+    fam = lsh.build_family(lsh.HashFamilySpec("minhash", m=4, l_bits=8, seed=0))
+    with pytest.raises(InputError):
+        lsh.hash_set(fam, tokens)
+    with pytest.raises(InputError, match="point 1"):
+        lsh.hash_set_many(fam, [np.array([1, 2]), tokens])
+
+
+def test_string_vector_rejected():
+    fam = lsh.build_family(lsh.HashFamilySpec("srp", m=2, l_bits=4, seed=0, dim=3))
+    with pytest.raises(InputError):
+        lsh.hash_dense(fam, np.array(["1", "2", "3"]))
+    with pytest.raises(InputError):
+        lsh.hash_dense_many(fam, [["1", "2", "3"]])
+
+
 def test_estimate_collision_exact_cases():
     x = lsh.token_set([1, 2, 3])
     assert lsh.estimate_collision("minhash", x, x, trials=500) == 1.0
