@@ -1,4 +1,4 @@
-"""Command-line front end: build, query, topk, groundtruth, plan, simulate, bench.
+"""Command-line front end: build, inspect, query, topk, groundtruth, plan, simulate, bench.
 
 Exit codes are stable per error class: 0 success, 2 configuration/usage,
 3 bad input data, 4 corrupt file format, 5 formula domain violation,
@@ -9,6 +9,7 @@ from timing columns.
 import argparse
 import csv
 import itertools
+import json
 import os
 import sys
 import time
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import dataio, oracle, theory
 from .errors import ConfigError, DomainError, FlinngError, FormatError, InputError
-from .index import FlinngConfig, FlinngIndex
+from .index import IMAGE_PARTS, VERSION, FlinngConfig, FlinngIndex
 from .lsh import HashFamilySpec
 
 EXIT_CODES = (
@@ -73,6 +74,35 @@ def cmd_build(args):
     print(f"build_seconds={seconds:.6f}")
     print(f"index_bytes={index.nbytes}")
     print(f"path={args.index}")
+    return 0
+
+
+def cmd_inspect(args):
+    index = FlinngIndex.load(_require_file(args.index, "INDEX"))
+    cfg = index.config
+    spec = cfg.hash_spec
+    cell_sizes = np.diff(index.cell_offsets)
+    report = {
+        "version": VERSION,
+        "hash_kind": spec.kind,
+        "metric": cfg.metric,
+        "cell_id_width": np.dtype(cfg.cell_dtype).itemsize,
+        "num_cells": cfg.num_cells,
+        "repetitions": cfg.repetitions,
+        "m": spec.m,
+        "l_bits": spec.l_bits,
+        "seed": spec.seed,
+        "dim": spec.dim or 0,
+        "n_points": index.n_points,
+        "payload_length": int(index.table_payload.size),
+        "part_bytes": {name: memoryview(part).nbytes
+                       for name, part in zip(IMAGE_PARTS, index._image_parts())},
+        "buckets": int(index.table_offsets.size - 1),
+        "nonempty_buckets": int(np.count_nonzero(np.diff(index.table_offsets))),
+        "min_cell_size": int(cell_sizes.min()),
+        "max_cell_size": int(cell_sizes.max()),
+    }
+    print(json.dumps(report))
     return 0
 
 
@@ -243,6 +273,10 @@ def build_parser():
     p.add_argument("--R", type=int, default=3, help="repetitions")
     common_hash(p)
     p.set_defaults(func=cmd_build)
+
+    p = sub.add_parser("inspect", help="print an index file's header, bytes per part and occupancy as JSON")
+    p.add_argument("index", metavar="INDEX")
+    p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("query", help="threshold query: ids passing count >= t everywhere")
     p.add_argument("--index")

@@ -38,17 +38,22 @@ METRIC_COSINE = "cosine"
 _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
 
 MAGIC = b"FLNG"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sIBBBBIIIIQIIQQ")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
 _METRICS = (METRIC_JACCARD, METRIC_COSINE)
 
 MAX_REPETITIONS = 255
+# offsets are uint32: R * n_points and the reverse-table payload length stay below this
+OFFSET_LIMIT = 1 << 32
+
+# the header, then the index arrays of these names, in image order
+IMAGE_PARTS = ("header", "cell_offsets", "cell_members", "table_offsets", "table_payload")
 
 
 def _image_dtypes(width):
     """Image dtypes of cell_offsets, cell_members, table_offsets and table_payload."""
-    return np.dtype("<i8"), np.dtype("<u4"), np.dtype("<i8"), np.dtype(f"<u{width}")
+    return np.dtype("<u4"), np.dtype("<u4"), np.dtype("<u4"), np.dtype(f"<u{width}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ class QueryScratch:
 
 def _ragged(offsets, values, rows):
     """values[offsets[r]:offsets[r + 1]] for each r in rows, concatenated in that order."""
-    starts = offsets[rows]
+    # int64: a uint32 cumsum is uint64, and uint64 with int64 gives float64
+    starts = offsets[rows].astype(np.int64)
     sizes = offsets[rows + 1] - starts
     # slot j of row i's run reads values[starts[i] + j]
     shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
@@ -129,9 +135,9 @@ class FlinngIndex:
     def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family):
         self.config = config
         self.n_points = n_points
-        self.cell_offsets = cell_offsets  # (B*R + 1,) int64
+        self.cell_offsets = cell_offsets  # (B*R + 1,) uint32, last entry R * N
         self.cell_members = cell_members  # (R * N,) uint32, ascending ids per cell
-        self.table_offsets = table_offsets  # (m * 2**l_bits + 1,) int64
+        self.table_offsets = table_offsets  # (m * 2**l_bits + 1,) uint32, last entry payload length
         self.table_payload = table_payload  # uint16/uint32 cell ids, dedup per bucket
         self.family = family
 
@@ -160,17 +166,20 @@ class FlinngIndex:
     def from_codes(cls, codes, config: FlinngConfig, family=None):
         """Assemble the grid and reverse tables from a precomputed (n, m) code matrix."""
         config.validate()
-        codes = np.ascontiguousarray(codes, dtype=np.uint32)
+        codes = np.asarray(codes)
         n, m = codes.shape
         spec = config.hash_spec
         if m != spec.m:
             raise InputError(f"code matrix has m={m}, spec expects {spec.m}")
+        B, R = config.num_cells, config.repetitions
+        if R * n >= OFFSET_LIMIT:
+            raise InputError(f"repetitions * n_points = {R * n} does not fit the 32-bit cell offsets")
+        codes = np.ascontiguousarray(codes, dtype=np.uint32)
         if (codes >= np.uint32(1 << spec.l_bits)).any():
             raise InputError(f"codes must lie in [0, 2**{spec.l_bits})")
         if family is None:
             family = lsh.build_family(spec)
 
-        B, R = config.num_cells, config.repetitions
         total = config.total_cells
         # repetition r: permute, then position i lands in cell i mod B
         cells_of = np.empty((R, n), dtype=np.int64)
@@ -182,24 +191,28 @@ class FlinngIndex:
         flat_cells = cells_of.reshape(R * n)
         order = np.argsort(flat_cells, kind="stable")  # ascending ids within a cell
         cell_members = np.tile(np.arange(n, dtype=np.uint32), R)[order]
-        sizes = np.bincount(flat_cells, minlength=total)
-        cell_offsets = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(sizes, out=cell_offsets[1:])
+        # cell and bucket sizes go into the offsets arrays themselves, then one cumsum in place
+        cell_offsets = np.zeros(total + 1, dtype=np.uint32)
+        cell_offsets[1:] = np.bincount(flat_cells, minlength=total)
+        np.cumsum(cell_offsets, out=cell_offsets)
 
         table_size = 1 << spec.l_bits
-        bucket_sizes = []
+        table_offsets = np.zeros(m * table_size + 1, dtype=np.uint32)
         payloads = []
+        payload_len = 0
         cells_t = cells_of.T  # (n, R)
         for i in range(m):
             # unique (bucket, cell) pairs for table i, sorted by bucket then cell
             composite = (codes[:, i].astype(np.int64) * total)[:, None] + cells_t
             keys = np.sort(composite, axis=None)
             uniq = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-            buckets = uniq // total
+            payload_len += uniq.size
+            if payload_len >= OFFSET_LIMIT:
+                raise InputError("the reverse tables outgrow the 32-bit bucket offsets")
             payloads.append((uniq % total).astype(config.cell_dtype))
-            bucket_sizes.append(np.bincount(buckets, minlength=table_size))
-        table_offsets = np.zeros(m * table_size + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(bucket_sizes), out=table_offsets[1:])
+            table_offsets[1 + i * table_size : 1 + (i + 1) * table_size] = np.bincount(
+                uniq // total, minlength=table_size)
+        np.cumsum(table_offsets, out=table_offsets)
         table_payload = np.concatenate(payloads)
 
         return cls(config, n, cell_offsets, cell_members, table_offsets, table_payload, family)
@@ -307,7 +320,7 @@ class FlinngIndex:
             self.n_points,
             self.table_payload.shape[0],
         )
-        arrays = (self.cell_offsets, self.cell_members, self.table_offsets, self.table_payload)
+        arrays = [getattr(self, name) for name in IMAGE_PARTS[1:]]
         return [header] + [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, _image_dtypes(width))]
 
     @property
@@ -343,6 +356,8 @@ class FlinngIndex:
             raise FormatError(f"corrupt header fields: {exc}") from exc
         if width != np.dtype(config.cell_dtype).itemsize:
             raise FormatError(f"cell id width {width} does not match a grid of {B * R} cells")
+        if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
+            raise FormatError("R * n_points or the payload length does not fit the 32-bit offsets")
         total = B * R
         dtypes = _image_dtypes(width)
         counts = (total + 1, R * n_points, m * (1 << l_bits) + 1, payload_len)

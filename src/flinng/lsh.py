@@ -167,24 +167,39 @@ def hash_set(family: HashFamily, x) -> np.ndarray:
     return hash_set_many(family, [x])[0]
 
 
+def _numeric(x):
+    """``np.asarray(x)``; InputError unless a regular array of ints, uints or floats."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape" for ragged lists
+        raise InputError(f"vectors must form a regular array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InputError(f"vector entries must be numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _finite(arr):
+    """A numeric array as float64; InputError on NaN or infinite entries."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise InputError("vector entries must be finite")
+    return arr
+
+
 def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
     """Hash rows of an (n, dim) matrix; returns an (n, m) uint32 code matrix."""
     if family.spec.kind != KIND_SRP:
         raise InputError("hash_dense requires an srp family")
-    mat = np.asarray(matrix)
+    mat = _numeric(matrix)
     if mat.ndim != 2 or mat.shape[1] != family.spec.dim:
         raise InputError(f"matrix must be (n, {family.spec.dim})")
-    if mat.dtype.kind not in "iuf":
-        raise InputError(f"vector entries must be numbers, got dtype {mat.dtype}")
     n, m, l_bits = mat.shape[0], family.spec.m, family.spec.l_bits
     out = np.empty((n, m), dtype=np.uint32)
     shifts = np.arange(l_bits, dtype=np.uint32)
     rows = max(1, _SLAB_BUDGET // (m * l_bits))
     for start in range(0, n, rows):
         # one slab of rows: its projections stay within the budget
-        slab = np.asarray(mat[start : start + rows], dtype=np.float64)
-        if not np.isfinite(slab).all():
-            raise InputError("vector entries must be finite")
+        slab = _finite(mat[start : start + rows])
         zero = np.flatnonzero(np.einsum("ij,ij->i", slab, slab) == 0)
         if zero.size:
             raise InputError(f"point {start + int(zero[0])} is a zero vector")
@@ -196,7 +211,7 @@ def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
 
 def hash_dense(family: HashFamily, v) -> np.ndarray:
     """Hash one dense vector to its m codes."""
-    v = np.asarray(v)
+    v = _numeric(v)
     if v.ndim != 1:
         raise InputError(f"expected one vector, got an array of shape {v.shape}")
     return hash_dense_many(family, v[None, :])[0]
@@ -221,8 +236,8 @@ def estimate_collision(kind, x, y, trials, seed=0):
         by = mix64(y[:, None] ^ keys[None, :]).min(axis=0) & np.uint64(1)
         return float(np.mean(bx == by))
     if kind == KIND_SRP:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        x = _finite(_numeric(x))
+        y = _finite(_numeric(y))
         if x.shape != y.shape or x.ndim != 1:
             raise InputError("srp pairs must be 1-d vectors of equal dim")
         if not x.any() or not y.any():

@@ -1,10 +1,12 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from flinng import dataio
 from flinng.cli import _pareto_flags, main
+from flinng.index import FlinngIndex
 from tests.conftest import random_token_points
 
 SIX_POINTS = "1 2 3\n4 5 6\n7 8 9\n10 11 12\n13 14 15\n16 17 18\n"
@@ -30,6 +32,34 @@ def test_build_reports_and_writes(six, tmp_path, capsys):
     assert "n_points=6" in text
     assert "build_seconds=" in text
     assert f"index_bytes={out.stat().st_size}\n" in text
+
+
+def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
+    index = tmp_path / "six.flinng"
+    run("build", "--dataset", six, "--index", index, "--B", 3, "--R", 2, "--m", 8, "--l-bits", 8)
+    capsys.readouterr()
+    assert run("inspect", index) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["version"] == 2
+    assert report["cell_id_width"] == 2
+    assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
+    assert report["n_points"] == 6
+    parts = report["part_bytes"]
+    assert list(parts) == ["header", "cell_offsets", "cell_members", "table_offsets", "table_payload"]
+    assert sum(parts.values()) == index.stat().st_size
+    assert parts["table_offsets"] == 4 * (8 * 2**8 + 1)
+    loaded = FlinngIndex.load(index)
+    bucket_sizes = np.diff(loaded.table_offsets.astype(np.int64))
+    assert report["nonempty_buckets"] == int((bucket_sizes > 0).sum()) > 0
+    assert report["min_cell_size"] == report["max_cell_size"] == 2  # 6 points in 3 cells
+
+
+def test_inspect_missing_and_corrupt_files(six, tmp_path, capsys):
+    index = tmp_path / "six.flinng"
+    run("build", "--dataset", six, "--index", index, "--B", 3, "--R", 2)
+    assert run("inspect", tmp_path / "nope.flinng") == 3
+    index.write_bytes(index.read_bytes()[:-1])
+    assert run("inspect", index) == 4
 
 
 def test_build_is_byte_deterministic(six, tmp_path):

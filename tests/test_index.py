@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flinng import index as index_module
 from flinng.errors import ConfigError, FormatError, InputError
 from flinng.index import FlinngConfig, FlinngIndex, QueryScratch
-from flinng.lsh import HashFamilySpec, build_family, hash_set_many
+from flinng.lsh import HashFamilySpec, build_family, hash_dense_many, hash_set_many
 from tests.conftest import random_token_points, small_index
 
 
@@ -106,6 +107,15 @@ def test_build_warns_when_cells_exceed_points():
 def test_build_rejects_kind_mismatch():
     with pytest.raises(InputError):
         FlinngIndex.build(np.ones((4, 3)), config(B=2, R=1))
+
+
+def test_ragged_vectors_rejected():
+    ragged = [[1.0, 2.0], [1.0]]
+    cfg = config(B=2, R=1, metric="cosine", dim=2)
+    with pytest.raises(InputError, match="regular array"):
+        hash_dense_many(build_family(cfg.hash_spec), ragged)
+    with pytest.raises(InputError, match="regular array"):
+        FlinngIndex.build(ragged, cfg)
 
 
 def test_cell_id_width_follows_grid_size():
@@ -427,9 +437,9 @@ def _wide_payload_image(idx):
     return bytes(blob) + payload.tobytes()
 
 
-def _header_field(idx, offset, value):
+def _header_field(idx, offset, value, size=4):
     blob = bytearray(idx.to_bytes())
-    blob[offset : offset + 4] = value.to_bytes(4, "little")
+    blob[offset : offset + size] = value.to_bytes(size, "little")
     return bytes(blob)
 
 
@@ -448,16 +458,52 @@ def _srp_dim_image(dim):
         lambda idx: _image(idx, cell_members=idx.cell_members[np.r_[1, 0, 2 : idx.cell_members.size]]),
         _wide_payload_image,
         lambda idx: _header_field(idx, 16, 0),  # R = 0
+        lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "srp-dim-2^23", "srp-dim-2^32-1"],
+         "version-1", "srp-dim-2^23", "srp-dim-2^32-1"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50
     with pytest.raises(FormatError):
         FlinngIndex.from_bytes(corrupt(idx))
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [(44, -(-(1 << 32) // 3)), (52, 1 << 32)],  # R = 3: R * n_points = 2^32 + 2, then payload length 2^32
+    ids=["R*n_points", "payload-length"],
+)
+def test_header_past_32_bit_offsets_rejected(token_corpus_50, offset, value):
+    _, idx = token_corpus_50
+    with pytest.raises(FormatError, match="32-bit offsets"):
+        FlinngIndex.from_bytes(_header_field(idx, offset, value, size=8))
+
+
+def test_from_codes_rejects_offsets_past_limit(monkeypatch):
+    codes = np.random.default_rng(3).integers(0, 16, (10, 4))
+    full = codes_index(codes, B=3, R=2, m=4, l_bits=4)
+    # R * n = 20 reaches a limit of 20; a limit equal to the payload length passes R * n
+    # and is reached at the last table; one more than that builds the same image
+    monkeypatch.setattr(index_module, "OFFSET_LIMIT", 20)
+    with pytest.raises(InputError, match="cell offsets"):
+        codes_index(codes, B=3, R=2, m=4, l_bits=4)
+    monkeypatch.setattr(index_module, "OFFSET_LIMIT", full.table_payload.size)
+    with pytest.raises(InputError, match="bucket offsets"):
+        codes_index(codes, B=3, R=2, m=4, l_bits=4)
+    monkeypatch.setattr(index_module, "OFFSET_LIMIT", full.table_payload.size + 1)
+    assert codes_index(codes, B=3, R=2, m=4, l_bits=4).to_bytes() == full.to_bytes()
+
+
+def test_offsets_are_uint32(tmp_path, token_corpus_50):
+    _, idx = token_corpus_50
+    path = tmp_path / "toy.flinng"
+    idx.save(path)
+    for index in (idx, FlinngIndex.load(path)):
+        assert index.cell_offsets.dtype == np.uint32
+        assert index.table_offsets.dtype == np.uint32
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import pytest
 from flinng import lsh
 from flinng._prng import key_stream, mix64
 from flinng.errors import InputError
+from flinng.index import _ragged as _ragged_gather
 from tests.conftest import random_token_points, small_index
 
 
@@ -48,6 +49,19 @@ def test_dense_codes_match_whole_matrix_reference(monkeypatch):
     mat[9] = 0  # third slab: the error names the row, not its slab position
     with pytest.raises(InputError, match="point 9 is a zero vector"):
         lsh.hash_dense_many(fam, mat)
+
+
+def test_ragged_over_uint32_offsets_matches_plain_concatenation():
+    rng = np.random.default_rng(4)
+    sizes = rng.integers(0, 5, 40)
+    offsets = np.zeros(41, dtype=np.uint32)
+    np.cumsum(sizes, out=offsets[1:])
+    values = rng.integers(0, 1000, int(offsets[-1])).astype(np.uint16)
+    rows = np.array([31, 2, 2, 17, 0, 39, 5, 30])  # non-ascending, with a repeat
+    expect = [v for r in rows.tolist() for v in values[offsets[r] : offsets[r + 1]].tolist()]
+    got = _ragged_gather(offsets, values, rows)
+    assert got.tolist() == expect
+    assert got.dtype == values.dtype
 
 
 def _reference_counts(idx, codes):

@@ -134,6 +134,15 @@ def test_estimate_collision_exact_cases():
     assert lsh.estimate_collision("srp", v, v, trials=500) == 1.0
 
 
+@pytest.mark.parametrize("x", [[math.nan, 1.0], ["1", "2"]], ids=["nan", "strings"])
+def test_estimate_collision_srp_rejects_non_numbers(x):
+    # unchecked, the nan pair estimates 0.508 and the strings parse as floats
+    with pytest.raises(InputError, match="vector entries"):
+        lsh.estimate_collision("srp", x, [1.0, 1.0], trials=500)
+    with pytest.raises(InputError, match="vector entries"):
+        lsh.estimate_collision("srp", [1.0, 1.0], x, trials=500)
+
+
 def test_estimate_collision_quarter_jaccard():
     x, y = jaccard_pair(40, 60, 60)  # J = 40 / 160 = 0.25
     rate = lsh.estimate_collision("minhash", x, y, trials=10_000, seed=3)
