@@ -23,7 +23,6 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 TAG_MINHASH_KEYS = 0x6D696E68  # "minh"
 TAG_SRP_DIRECTIONS = 0x73727064  # "srpd"
 TAG_PERMUTATION = 0x7065726D  # "perm"; repetition r uses TAG_PERMUTATION + r
-TAG_ESTIMATOR = 0x65737469  # "esti"
 
 
 def mix64(x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInvalidError, ConfigError, InputError
-from .lsh import MAX_L_BITS
+from .lsh import MAX_L_BITS, _code_array
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,20 @@ class DistanceSensitiveFilter:
         self.count_inserted = 0
         self._rows = np.arange(self.m)
 
-    def _check(self, codes):
-        codes = np.asarray(codes)
-        if codes.shape != (self.m,):
-            raise InputError(f"expected {self.m} codes, got shape {codes.shape}")
-        if (codes.astype(np.int64) >= (1 << self.l_bits)).any() or (
-            codes.astype(np.int64) < 0
-        ).any():
-            raise InputError(f"codes must lie in [0, 2**{self.l_bits})")
-        return codes.astype(np.int64)
-
     def insert(self, codes):
         """Set bit codes[i] in array i for every i. Idempotent per code vector."""
-        codes = self._check(codes)
-        self.arrays[self._rows, codes] = True
+        self.arrays[self._rows, _code_array(codes, self.m, self.l_bits)] = True
         self.count_inserted += 1
 
     def insert_many(self, code_matrix):
         """Insert every row of an (n, m) code matrix."""
-        mat = np.asarray(code_matrix)
-        if mat.ndim != 2 or mat.shape[1] != self.m:
-            raise InputError(f"expected an (n, {self.m}) code matrix")
-        self.arrays[self._rows[None, :], mat.astype(np.int64)] = True
+        mat = _code_array(code_matrix, self.m, self.l_bits, matrix=True)
+        self.arrays[self._rows[None, :], mat] = True
         self.count_inserted += mat.shape[0]
 
     def count_collisions(self, codes) -> int:
         """Number of arrays whose bit at the query's code is set (0..m)."""
-        codes = self._check(codes)
-        return int(self.arrays[self._rows, codes].sum())
+        return int(self.arrays[self._rows, _code_array(codes, self.m, self.l_bits)].sum())
 
     def test(self, codes) -> bool:
         """True when at least t of the m addressed bits are set."""

@@ -115,8 +115,6 @@ def _check_membership(cell_offsets, cell_members, B, R, n):
     with ids ascending within each cell."""
     if (cell_offsets[: B * R : B] != np.arange(R) * n).any():
         raise FormatError("a repetition does not hold exactly n_points members")
-    if cell_members.size == 0:
-        return
     if cell_members.max() >= n:
         raise FormatError("cell membership references an out-of-range point")
     # R * n keys below R * n: all present means each exactly once
@@ -166,17 +164,14 @@ class FlinngIndex:
     def from_codes(cls, codes, config: FlinngConfig, family=None):
         """Assemble the grid and reverse tables from a precomputed (n, m) code matrix."""
         config.validate()
-        codes = np.asarray(codes)
-        n, m = codes.shape
         spec = config.hash_spec
-        if m != spec.m:
-            raise InputError(f"code matrix has m={m}, spec expects {spec.m}")
+        codes = lsh._code_array(codes, spec.m, spec.l_bits, matrix=True)
+        n, m = codes.shape
+        if n < 1:
+            raise InputError("cannot build an index over zero points")
         B, R = config.num_cells, config.repetitions
         if R * n >= OFFSET_LIMIT:
             raise InputError(f"repetitions * n_points = {R * n} does not fit the 32-bit cell offsets")
-        codes = np.ascontiguousarray(codes, dtype=np.uint32)
-        if (codes >= np.uint32(1 << spec.l_bits)).any():
-            raise InputError(f"codes must lie in [0, 2**{spec.l_bits})")
         if family is None:
             family = lsh.build_family(spec)
 
@@ -244,14 +239,8 @@ class FlinngIndex:
     def _gather(self, query_codes):
         """Validate one query's codes, then count collisions per cell (int32, B*R)."""
         spec = self.config.hash_spec
-        codes = np.asarray(query_codes)
-        if codes.dtype.kind not in "iu":
-            raise InputError(f"query codes must be integers, got dtype {codes.dtype}")
-        if codes.shape != (spec.m,):
-            raise InputError(f"expected {spec.m} query codes")
-        if codes.min() < 0 or codes.max() >= 1 << spec.l_bits:
-            raise InputError(f"query codes must lie in [0, 2**{spec.l_bits})")
-        buckets = (np.arange(spec.m) << spec.l_bits) + codes.astype(np.int64)
+        codes = lsh._code_array(query_codes, spec.m, spec.l_bits, "query codes")
+        buckets = (np.arange(spec.m) << spec.l_bits) + codes
         hits = _ragged(self.table_offsets, self.table_payload, buckets)
         return np.bincount(hits, minlength=self.config.total_cells).astype(np.int32)
 
@@ -356,6 +345,8 @@ class FlinngIndex:
             raise FormatError(f"corrupt header fields: {exc}") from exc
         if width != np.dtype(config.cell_dtype).itemsize:
             raise FormatError(f"cell id width {width} does not match a grid of {B * R} cells")
+        if n_points < 1:
+            raise FormatError("the header holds zero points")
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
             raise FormatError("R * n_points or the payload length does not fit the 32-bit offsets")
         total = B * R

@@ -17,6 +17,10 @@ codes are bit-for-bit reproducible. ``hash_dense_many`` projects row slabs of
 the same budget, so neither kernel holds more than one slab's intermediates.
 Families are frozen after construction and safe to share across query
 threads. Same spec means bit-identical family, codes, and downstream index.
+
+This module also holds the one check of each kind of outside input, which
+the index, the filter and the oracle call too: ``_token_ids`` for token
+sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._prng import (
-    TAG_ESTIMATOR,
     TAG_MINHASH_KEYS,
     TAG_SRP_DIRECTIONS,
     derive,
@@ -46,27 +49,59 @@ _U64_MAX = 0xFFFFFFFFFFFFFFFF
 _SLAB_BUDGET = 1 << 16
 
 
-def token_set(values):
-    """Normalize an iterable of token ids to a sorted, duplicate-free uint64 array."""
+def _token_ids(values, name="token ids"):
+    """Token ids as a 1-d uint64 array, in their order and with duplicates kept.
+
+    InputError unless every id is an integer in [0, 2**64). A list is read id
+    by id, because numpy would turn a list holding 2**63 or more into floats.
+    """
     if isinstance(values, np.ndarray):
         if values.size == 0:
             return np.empty(0, dtype=np.uint64)
-        if values.dtype.kind not in "iu":
-            raise InputError("token ids must be integers")
-        if values.dtype.kind == "i" and (values < 0).any():
-            raise InputError("token ids must be non-negative")
-        return np.unique(values.astype(np.uint64))
+        if values.dtype.kind not in "iu" or values.ndim != 1:
+            raise InputError(f"{name} must be a 1-d integer array, got {values.dtype} of shape {values.shape}")
+        if values.dtype.kind == "i" and values.min() < 0:
+            raise InputError(f"{name} must lie in [0, 2**64), got {values.min()}")
+        return values.astype(np.uint64, copy=False)
     vals = list(values)
     out = np.empty(len(vals), dtype=np.uint64)
     for i, v in enumerate(vals):
         if not isinstance(v, (int, np.integer)):
-            raise InputError(f"token ids must be integers, got {type(v).__name__}")
-        if v < 0:
-            raise InputError(f"token ids must be non-negative, got {v}")
-        if v > _U64_MAX:
-            raise InputError(f"token id {v} overflows 64 bits")
+            raise InputError(f"{name} must be integers, got {type(v).__name__}")
+        if not 0 <= v <= _U64_MAX:
+            raise InputError(f"{name} must lie in [0, 2**64), got {v}")
         out[i] = v
-    return np.unique(out)
+    return out
+
+
+def token_set(values):
+    """Normalize an iterable of token ids to a sorted, duplicate-free uint64 array."""
+    return np.unique(_token_ids(values))
+
+
+def _as_array(x, name):
+    """``np.asarray(x)``; InputError for a ragged nesting of lists."""
+    try:
+        return np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape" for ragged lists
+        raise InputError(f"{name} must form a regular array: {exc}") from exc
+
+
+def _code_array(codes, m, l_bits, name="codes", matrix=False):
+    """Codes of shape (m,), or (n, m) for a matrix, as uint32.
+
+    InputError unless they are integers in [0, 2**l_bits): a float code would
+    be truncated, a negative one wrap, and a code past the range address
+    another table's buckets.
+    """
+    arr = _as_array(codes, name)
+    if arr.dtype.kind not in "iu":
+        raise InputError(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.ndim != (2 if matrix else 1) or arr.shape[-1] != m:
+        raise InputError(f"expected {name} of shape {f'(n, {m})' if matrix else f'({m},)'}, got {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= 1 << l_bits):
+        raise InputError(f"{name} must lie in [0, 2**{l_bits})")
+    return arr.astype(np.uint32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -146,19 +181,13 @@ def hash_set_many(family: HashFamily, points) -> np.ndarray:
     """Hash a list of token sets; returns an (n, m) uint32 code matrix."""
     if family.spec.kind != KIND_MINHASH:
         raise InputError("hash_set requires a minhash family")
-    offsets = np.zeros(len(points) + 1, dtype=np.int64)
-    for i, p in enumerate(points):
-        if len(p) == 0:
+    sets = [_token_ids(p, f"point {i}: token ids") for i, p in enumerate(points)]
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    for i, s in enumerate(sets):
+        if s.size == 0:
             raise InputError(f"point {i} is an empty token set")
-        offsets[i + 1] = offsets[i] + len(p)
-    flat = np.empty(offsets[-1], dtype=np.uint64)
-    for i, p in enumerate(points):
-        arr = np.asarray(p)
-        if arr.dtype.kind not in "iu" or arr.ndim != 1:
-            raise InputError(f"point {i}: token sets must be 1-d integer arrays, got {arr.dtype}")
-        if arr.dtype.kind == "i" and arr.min() < 0:
-            raise InputError(f"point {i}: token ids must be non-negative")
-        flat[offsets[i] : offsets[i + 1]] = arr
+        offsets[i + 1] = offsets[i] + s.size
+    flat = np.concatenate(sets) if sets else np.empty(0, dtype=np.uint64)
     return minhash_codes(flat, offsets, family.keys, family.spec.l_bits)
 
 
@@ -169,10 +198,7 @@ def hash_set(family: HashFamily, x) -> np.ndarray:
 
 def _numeric(x):
     """``np.asarray(x)``; InputError unless a regular array of ints, uints or floats."""
-    try:
-        arr = np.asarray(x)
-    except ValueError as exc:  # numpy's "inhomogeneous shape" for ragged lists
-        raise InputError(f"vectors must form a regular array: {exc}") from exc
+    arr = _as_array(x, "vectors")
     if arr.dtype.kind not in "iuf":
         raise InputError(f"vector entries must be numbers, got dtype {arr.dtype}")
     return arr
@@ -220,28 +246,19 @@ def hash_dense(family: HashFamily, v) -> np.ndarray:
 def estimate_collision(kind, x, y, trials, seed=0):
     """Monte Carlo estimate of the single-bit collision probability of a pair.
 
-    Draws ``trials`` fresh one-bit hashes (fresh mixer key or fresh Gaussian
-    direction per trial) and returns the fraction on which x and y agree.
+    Hashes x and y with the ``trials``-bit family ``HashFamilySpec(kind,
+    m=trials, l_bits=1, seed=seed)`` and returns the fraction of bits on which
+    they agree. An srp family holds trials * dim directions, so an srp
+    estimate needs trials * dim <= MAX_SRP_FLOATS.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    sub = derive(seed, TAG_ESTIMATOR)
-    if kind == KIND_MINHASH:
-        x = token_set(x)
-        y = token_set(y)
-        if x.size == 0 or y.size == 0:
-            raise InputError("cannot hash an empty token set")
-        keys = key_stream(sub, trials)
-        bx = mix64(x[:, None] ^ keys[None, :]).min(axis=0) & np.uint64(1)
-        by = mix64(y[:, None] ^ keys[None, :]).min(axis=0) & np.uint64(1)
-        return float(np.mean(bx == by))
     if kind == KIND_SRP:
-        x = _finite(_numeric(x))
-        y = _finite(_numeric(y))
-        if x.shape != y.shape or x.ndim != 1:
+        pair = _numeric([x, y])
+        if pair.ndim != 2:
             raise InputError("srp pairs must be 1-d vectors of equal dim")
-        if not x.any() or not y.any():
-            raise InputError("cannot hash the zero vector")
-        dirs = gaussian_stream(sub, trials * x.shape[0]).reshape(trials, x.shape[0])
-        return float(np.mean((dirs @ x >= 0.0) == (dirs @ y >= 0.0)))
-    raise ConfigError(f"unknown hash family kind {kind!r}")
+        family = build_family(HashFamilySpec(kind, m=trials, l_bits=1, seed=seed, dim=pair.shape[1]))
+        codes = hash_dense_many(family, pair)
+    else:
+        codes = hash_set_many(build_family(HashFamilySpec(kind, m=trials, l_bits=1, seed=seed)), [x, y])
+    return float(np.mean(codes[0] == codes[1]))

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lsh
 from .errors import InputError
 
 GT_SEP = ":"
@@ -17,8 +18,8 @@ GT_SEP = ":"
 
 def jaccard(x, y) -> float:
     """|x & y| / |x | y| for two sorted duplicate-free token arrays."""
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
+    x = lsh._token_ids(x)
+    y = lsh._token_ids(y)
     if x.size == 0 or y.size == 0:
         raise InputError("jaccard is undefined for empty token sets")
     inter = np.intersect1d(x, y, assume_unique=True).size
@@ -27,8 +28,8 @@ def jaccard(x, y) -> float:
 
 def cosine(x, y) -> float:
     """dot(x, y) / (|x| |y|) for two equal-dimension vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = lsh._finite(lsh._numeric(x))
+    y = lsh._finite(lsh._numeric(y))
     if x.shape != y.shape or x.ndim != 1:
         raise InputError(f"dimension mismatch: {x.shape} vs {y.shape}")
     nx = np.linalg.norm(x)
@@ -42,11 +43,12 @@ class _TokenPostings:
     """token -> point-id posting lists over a token-set corpus."""
 
     def __init__(self, points):
-        self.sizes = np.array([len(p) for p in points], dtype=np.int64)
+        sets = [lsh._token_ids(p, f"corpus point {i}: token ids") for i, p in enumerate(points)]
+        self.sizes = np.array([s.size for s in sets], dtype=np.int64)
         if (self.sizes == 0).any():
             raise InputError("corpus contains an empty token set")
         owners = np.repeat(np.arange(len(points), dtype=np.int64), self.sizes)
-        flat = np.concatenate([np.asarray(p, dtype=np.uint64) for p in points])
+        flat = np.concatenate(sets)
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
         self.owners = owners[order]
@@ -55,7 +57,7 @@ class _TokenPostings:
         self.n = len(points)
 
     def similarities(self, query):
-        q = np.unique(np.asarray(query, dtype=np.uint64))
+        q = lsh.token_set(query)
         if q.size == 0:
             raise InputError("query token set is empty")
         loc = np.searchsorted(self.tokens, q)
@@ -93,13 +95,13 @@ def exact_topk_batch(points, queries, k, metric):
         postings = _TokenPostings(points)
         return [_select_topk(postings.similarities(q), k) for q in queries]
     if metric == "cosine":
-        mat = np.asarray(points, dtype=np.float64)
+        mat = lsh._finite(lsh._numeric(points))
         norms = np.linalg.norm(mat, axis=1)
         if (norms == 0).any():
             raise InputError("corpus contains a zero vector")
         rows = []
         for q in queries:
-            q = np.asarray(q, dtype=np.float64)
+            q = lsh._finite(lsh._numeric(q))
             nq = np.linalg.norm(q)
             if nq == 0.0:
                 raise InputError("query is a zero vector")
@@ -110,21 +112,20 @@ def exact_topk_batch(points, queries, k, metric):
 
 @dataclass
 class EvalReport:
-    """Retrieval quality plus optional per-query latency samples (nanoseconds)."""
+    """Retrieval quality at each cutoff."""
 
     recall_at_k: dict = field(default_factory=dict)  # k -> fraction with true top-1 in top k
     precision_at: dict = field(default_factory=dict)  # j -> mean precision vs true top-j
     recall_at: dict = field(default_factory=dict)  # j -> mean recall vs true top-j
-    latency_ns: list | None = None
 
 
-def evaluate(results, truth, k_list, latency_ns=None) -> EvalReport:
+def evaluate(results, truth, k_list) -> EvalReport:
     """Score returned id lists against ground-truth rows at each cutoff in k_list."""
     if len(results) != len(truth):
         raise InputError(f"{len(results)} result rows vs {len(truth)} truth rows")
     if not truth:
         raise InputError("cannot evaluate an empty query set")
-    report = EvalReport(latency_ns=list(latency_ns) if latency_ns is not None else None)
+    report = EvalReport()
     for k in k_list:
         hits = prec = rec = 0.0
         for res, (true_ids, _sims) in zip(results, truth):

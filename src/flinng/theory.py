@@ -142,19 +142,10 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1, l_cap=DEFAULT_L_CAP) -> P
 
     # smallest L with s_k**L >= 2 * per_cell * s_k1**L
     target = 2.0 * per_cell
-    ratio = s_k / s_k1
-    l_bits = 1 if target <= ratio else math.ceil(math.log(target) / math.log(ratio))
-    while l_bits > 1 and s_k ** (l_bits - 1) >= target * s_k1 ** (l_bits - 1):
-        l_bits -= 1
-    while s_k**l_bits < target * s_k1**l_bits:
-        l_bits += 1
-        if l_bits > l_cap:
-            raise InfeasibleParameterError(
-                f"no l_bits <= {l_cap} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
-            )
-    if l_bits > l_cap:
+    l_bits = next((L for L in range(1, l_cap + 1) if s_k**L >= target * s_k1**L), None)
+    if l_bits is None:
         raise InfeasibleParameterError(
-            f"required l_bits={l_bits} exceeds the cap {l_cap}"
+            f"no l_bits <= {l_cap} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
         )
 
     m = max(1, math.ceil(-8.0 * math.log(min(q, 1.0 - p)) * n_points**gamma))

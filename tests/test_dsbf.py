@@ -109,6 +109,24 @@ def test_bad_inputs():
         f.insert(np.array([1, 2, 3, 16], dtype=np.uint32))
 
 
+@pytest.mark.parametrize(
+    "method, codes",
+    [
+        ("insert_many", [[-1, 0, 0, 0]]),
+        ("insert_many", [[0, 0, 0, 16]]),
+        ("insert", [1.5, 2.0, 3.0, 4.0]),
+        ("count_collisions", [1.5, 2.0, 3.0, 4.0]),
+    ],
+    ids=["many-negative", "many-2^l_bits", "insert-float", "count-float"],
+)
+def test_bad_codes_rejected(method, codes):
+    # unchecked, -1 sets the last bit, 16 indexes past the array and a float is truncated
+    f = DistanceSensitiveFilter(m=4, l_bits=4, t=1)
+    with pytest.raises(InputError, match="codes"):
+        getattr(f, method)(codes)
+    assert not f.arrays.any()
+
+
 def test_random_occupancy_matches_analytic_mean():
     # analytic oracle: E[count] = m * (1 - (1 - 2**-l_bits)**n)
     m, l_bits, n, trials = 32, 16, 1000, 1000

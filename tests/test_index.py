@@ -118,6 +118,17 @@ def test_ragged_vectors_rejected():
         FlinngIndex.build(ragged, cfg)
 
 
+@pytest.mark.parametrize(
+    "codes",
+    [np.full((20, 8), 2.7), np.full((20, 8), "1"), np.zeros(8, dtype=np.uint32), np.zeros((0, 8), dtype=np.uint32)],
+    ids=["float", "strings", "1-d", "zero-points"],
+)
+def test_bad_code_matrix_rejected(codes):
+    # unchecked, 2.7 is truncated to 2, "1" is parsed as 1 and zero points build an empty index
+    with pytest.raises(InputError):
+        FlinngIndex.from_codes(codes, config(B=3, R=2))
+
+
 def test_cell_id_width_follows_grid_size():
     assert config(B=100, R=2).cell_dtype == np.uint16
     assert config(B=40000, R=2).cell_dtype == np.uint32
@@ -450,6 +461,14 @@ def _srp_dim_image(dim):
     return _header_field(idx, 36, dim)
 
 
+def _zero_point_image(idx):
+    # a header of n_points = 0 with arrays to match: every offset 0, no members, no payload
+    cfg, spec = idx.config, idx.config.hash_spec
+    return FlinngIndex(cfg, 0, np.zeros(cfg.total_cells + 1, np.uint32), np.empty(0, np.uint32),
+                       np.zeros((spec.m << spec.l_bits) + 1, np.uint32), np.empty(0, cfg.cell_dtype),
+                       idx.family).to_bytes()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -461,9 +480,10 @@ def _srp_dim_image(dim):
         lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
+        _zero_point_image,
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "version-1", "srp-dim-2^23", "srp-dim-2^32-1"],
+         "version-1", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50

@@ -118,6 +118,14 @@ def test_bad_tokens_rejected(tokens):
         lsh.hash_set_many(fam, [np.array([1, 2]), tokens])
 
 
+def test_hash_set_accepts_ids_past_int64():
+    # numpy reads the list [2**63, 5] as floats, so it must be read id by id
+    fam = lsh.build_family(lsh.HashFamilySpec("minhash", m=4, l_bits=8, seed=0))
+    want = lsh.hash_set(fam, lsh.token_set([2**63, 5]))
+    assert np.array_equal(lsh.hash_set(fam, [2**63, 5]), want)
+    assert np.array_equal(lsh.hash_set_many(fam, [[1], [2**63, 5]])[1], want)
+
+
 def test_string_vector_rejected():
     fam = lsh.build_family(lsh.HashFamilySpec("srp", m=2, l_bits=4, seed=0, dim=3))
     with pytest.raises(InputError):

@@ -32,6 +32,21 @@ def test_jaccard_rejects_empty():
         oracle.jaccard(np.empty(0, np.uint64), np.array([1], dtype=np.uint64))
 
 
+@pytest.mark.parametrize("tokens", [[1.5, 2.0], [-1, 2], np.array([-1, 2])],
+                         ids=["float", "negative-list", "negative-array"])
+def test_bad_tokens_rejected(tokens):
+    # unchecked, 1.5 is truncated to 1 and -1 wraps to 2**64 - 1
+    good = np.array([1, 2], dtype=np.uint64)
+    with pytest.raises(InputError):
+        oracle.jaccard(tokens, good)
+    with pytest.raises(InputError):
+        oracle.jaccard(good, tokens)
+    with pytest.raises(InputError):
+        oracle.exact_topk_batch([good, tokens], [good], 1, "jaccard")
+    with pytest.raises(InputError):
+        oracle.exact_topk_batch([good], [tokens], 1, "jaccard")
+
+
 def test_cosine_known_values():
     assert oracle.cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
     assert oracle.cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
@@ -43,6 +58,19 @@ def test_cosine_errors():
         oracle.cosine([1.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(InputError):
         oracle.cosine([0.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("x", [[math.nan, 1.0], ["1", "2"]], ids=["nan", "strings"])
+def test_cosine_rejects_non_numbers(x):
+    # unchecked, the nan pair scores nan and the strings parse as floats
+    with pytest.raises(InputError, match="vector entries"):
+        oracle.cosine(x, [1.0, 1.0])
+    with pytest.raises(InputError, match="vector entries"):
+        oracle.cosine([1.0, 1.0], x)
+    with pytest.raises(InputError, match="vector entries"):
+        oracle.exact_topk_batch([[1.0, 1.0], x], [[1.0, 1.0]], 1, "cosine")
+    with pytest.raises(InputError, match="vector entries"):
+        oracle.exact_topk_batch([[1.0, 1.0]], [x], 1, "cosine")
 
 
 def test_exact_topk_self_query(token_corpus_50=None):
