@@ -97,8 +97,8 @@ def cmd_inspect(args):
         "payload_length": int(index.table_payload.size),
         "part_bytes": {name: memoryview(part).nbytes
                        for name, part in zip(IMAGE_PARTS, index._image_parts())},
-        "buckets": int(index.table_offsets.size - 1),
-        "nonempty_buckets": int(np.count_nonzero(np.diff(index.table_offsets))),
+        "buckets": spec.m << spec.l_bits,
+        "nonempty_buckets": int(np.bitwise_count(index.bucket_bits).sum()),
         "min_cell_size": int(cell_sizes.min()),
         "max_cell_size": int(cell_sizes.max()),
     }

@@ -38,8 +38,9 @@ METRIC_COSINE = "cosine"
 _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
 
 MAGIC = b"FLNG"
-VERSION = 2
-_HEADER = struct.Struct("<4sIBBBBIIIIQIIQQ")
+VERSION = 3
+# 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned
+_HEADER = struct.Struct("<4sIBBBBIIIIQIIQQI")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
 _METRICS = (METRIC_JACCARD, METRIC_COSINE)
 
@@ -47,13 +48,36 @@ MAX_REPETITIONS = 255
 # offsets are uint32: R * n_points and the reverse-table payload length stay below this
 OFFSET_LIMIT = 1 << 32
 
-# the header, then the index arrays of these names, in image order
-IMAGE_PARTS = ("header", "cell_offsets", "cell_members", "table_offsets", "table_payload")
+# the header, then the index arrays of these names, in image order: item sizes never
+# grow along it, so every array starts aligned to its own item size
+IMAGE_PARTS = ("header", "bucket_bits", "bucket_ranks", "bucket_offsets", "cell_offsets", "cell_members",
+               "table_payload")
+
+# entry s: the bits of a word below bit s
+_LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 
 def _image_dtypes(width):
-    """Image dtypes of cell_offsets, cell_members, table_offsets and table_payload."""
-    return np.dtype("<u4"), np.dtype("<u4"), np.dtype("<u4"), np.dtype(f"<u{width}")
+    """Image dtypes of the arrays in IMAGE_PARTS[1:]."""
+    u4 = np.dtype("<u4")
+    return np.dtype("<u8"), u4, u4, u4, u4, np.dtype(f"<u{width}")
+
+
+def _word_ranks(bits):
+    """The set bits before each word of a bitmap (int64): its rank directory."""
+    ones = np.bitwise_count(bits)
+    return np.cumsum(ones, dtype=np.int64) - ones
+
+
+def _bucket_words(n_buckets):
+    """Words in the bitmap of n_buckets buckets: bit n_buckets has one too, so rank(n_buckets) is defined."""
+    return (n_buckets >> 6) + 1
+
+
+def _bucket_directory(flags):
+    """The bitmap of one bool per bit as uint64 words, and its ranks as uint32."""
+    bits = np.packbits(flags, bitorder="little").view("<u8")
+    return bits, _word_ranks(bits).astype(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -100,14 +124,22 @@ class QueryScratch:
         pass
 
 
-def _ragged(offsets, values, rows):
-    """values[offsets[r]:offsets[r + 1]] for each r in rows, concatenated in that order."""
+def _ragged(values, starts, stops):
+    """values[starts[i]:stops[i]] for each i, concatenated in that order."""
     # int64: a uint32 cumsum is uint64, and uint64 with int64 gives float64
-    starts = offsets[rows].astype(np.int64)
-    sizes = offsets[rows + 1] - starts
+    starts = starts.astype(np.int64)
+    sizes = stops - starts
     # slot j of row i's run reads values[starts[i] + j]
     shift = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
     return values[np.arange(shift.size) + shift]
+
+
+def _run_starts(values):
+    """Bool mask of the first entry of each run of equal values in a non-empty array."""
+    first = np.empty(values.size, dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
 
 
 def _check_membership(cell_offsets, cell_members, B, R, n):
@@ -128,16 +160,47 @@ def _check_membership(cell_offsets, cell_members, B, R, n):
 
 
 class FlinngIndex:
-    """Immutable cell memberships plus m reverse tables from codes to cells."""
+    """Immutable cell memberships plus m reverse tables from codes to cells.
+
+    The m * 2**l_bits buckets of the reverse tables are numbered table by
+    table, and bit b of ``bucket_bits`` marks bucket b non-empty. Only the
+    non-empty buckets have offsets: bucket b holds
+    ``table_payload[bucket_offsets[rank(b)] : bucket_offsets[rank(b + 1)]]``,
+    where rank(x), the set bits before bit x, is ``bucket_ranks[x >> 6]`` plus
+    those below x in its word. An empty bucket has rank(b + 1) = rank(b).
+    """
 
     def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family):
+        """An index from dense bucket offsets: bucket b spans table_offsets[b] .. table_offsets[b + 1]."""
+        table_offsets = np.asarray(table_offsets, dtype=np.uint32)
+        nonempty = np.flatnonzero(np.diff(table_offsets))
+        flags = np.zeros(_bucket_words(table_offsets.size - 1) * 64, dtype=bool)
+        flags[nonempty] = True
+        bits, ranks = _bucket_directory(flags)
+        self._set(config, n_points, cell_offsets, cell_members, bits, ranks,
+                  np.append(table_offsets[nonempty], table_offsets[-1]), table_payload, family)
+
+    @classmethod
+    def _from_parts(cls, *parts):
+        """An index from its stored parts (the arguments of ``_set``), with no dense offsets."""
+        index = cls.__new__(cls)
+        index._set(*parts)
+        return index
+
+    def _set(self, config, n_points, cell_offsets, cell_members, bucket_bits, bucket_ranks, bucket_offsets,
+             table_payload, family):
         self.config = config
         self.n_points = n_points
         self.cell_offsets = cell_offsets  # (B*R + 1,) uint32, last entry R * N
         self.cell_members = cell_members  # (R * N,) uint32, ascending ids per cell
-        self.table_offsets = table_offsets  # (m * 2**l_bits + 1,) uint32, last entry payload length
+        self.bucket_bits = bucket_bits  # (m * 2**l_bits // 64 + 1,) uint64, bit b set: bucket b non-empty
+        self.bucket_ranks = bucket_ranks  # uint32 per word, set bits in the words before it
+        self.bucket_offsets = bucket_offsets  # (non-empty buckets + 1,) uint32, last entry payload length
         self.table_payload = table_payload  # uint16/uint32 cell ids, dedup per bucket
         self.family = family
+        spec = config.hash_spec
+        # row 0: the first bucket of each table; row 1: the bucket after it
+        self._table_base = (np.arange(spec.m, dtype=np.int64) << spec.l_bits) + np.array([[0], [1]])
 
     # -- construction -------------------------------------------------------
 
@@ -192,25 +255,29 @@ class FlinngIndex:
         np.cumsum(cell_offsets, out=cell_offsets)
 
         table_size = 1 << spec.l_bits
-        table_offsets = np.zeros(m * table_size + 1, dtype=np.uint32)
-        payloads = []
+        flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
+        payloads, starts = [], []
         payload_len = 0
         cells_t = cells_of.T  # (n, R)
         for i in range(m):
             # unique (bucket, cell) pairs for table i, sorted by bucket then cell
             composite = (codes[:, i].astype(np.int64) * total)[:, None] + cells_t
             keys = np.sort(composite, axis=None)
-            uniq = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
-            payload_len += uniq.size
-            if payload_len >= OFFSET_LIMIT:
+            uniq = keys[_run_starts(keys)]
+            if payload_len + uniq.size >= OFFSET_LIMIT:
                 raise InputError("the reverse tables outgrow the 32-bit bucket offsets")
             payloads.append((uniq % total).astype(config.cell_dtype))
-            table_offsets[1 + i * table_size : 1 + (i + 1) * table_size] = np.bincount(
-                uniq // total, minlength=table_size)
-        np.cumsum(table_offsets, out=table_offsets)
+            buckets = np.floor_divide(uniq, total, out=uniq)  # in place: uniq is not read again
+            first = np.flatnonzero(_run_starts(buckets))  # each non-empty bucket's first pair
+            flags[buckets[first] + i * table_size] = True
+            starts.append((first + payload_len).astype(np.uint32))
+            payload_len += buckets.size
+        bits, ranks = _bucket_directory(flags)
+        bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
         table_payload = np.concatenate(payloads)
 
-        return cls(config, n, cell_offsets, cell_members, table_offsets, table_payload, family)
+        return cls._from_parts(config, n, cell_offsets, cell_members, bits, ranks, bucket_offsets,
+                               table_payload, family)
 
     # -- inspection ---------------------------------------------------------
 
@@ -229,6 +296,19 @@ class FlinngIndex:
         out[cells // B * n + self.cell_members] = cells
         return out.reshape(self.config.repetitions, n)
 
+    @cached_property
+    def table_offsets(self):
+        """Dense (m * 2**l_bits + 1,) uint32 bucket offsets, read-only; derived on first use, not stored.
+
+        Built from a running count of the bitmap, not through the query's rank lookup."""
+        spec = self.config.hash_spec
+        flags = np.unpackbits(self.bucket_bits.view(np.uint8), bitorder="little")[: spec.m << spec.l_bits]
+        before = np.zeros(flags.size + 1, dtype=np.int64)  # non-empty buckets below each bucket
+        np.cumsum(flags, out=before[1:])
+        dense = self.bucket_offsets[before]
+        dense.flags.writeable = False
+        return dense
+
     def hash_query(self, point):
         if self.config.metric == METRIC_JACCARD:
             return lsh.hash_set(self.family, point)
@@ -236,48 +316,64 @@ class FlinngIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def _gather(self, query_codes):
-        """Validate one query's codes, then count collisions per cell (int32, B*R)."""
+    def _checked(self, query_codes):
         spec = self.config.hash_spec
-        codes = lsh._code_array(query_codes, spec.m, spec.l_bits, "query codes")
-        buckets = (np.arange(spec.m) << spec.l_bits) + codes
-        hits = _ragged(self.table_offsets, self.table_payload, buckets)
+        return lsh._code_array(query_codes, spec.m, spec.l_bits, "query codes")
+
+    def _gather(self, codes):
+        """Collisions per cell (int32, B*R) for one query's m codes, each in [0, 2**l_bits)."""
+        b = self._table_base + codes  # the query's buckets, and the buckets after them
+        w = b >> 6
+        # rank(x): the non-empty buckets before x
+        ranks = self.bucket_ranks[w] + np.bitwise_count(self.bucket_bits[w] & _LOW_MASKS[b & 63])
+        starts, stops = self.bucket_offsets[ranks]
+        hits = _ragged(self.table_payload, starts, stops)
         return np.bincount(hits, minlength=self.config.total_cells).astype(np.int32)
 
     def cell_counts(self, query_codes, scratch=None):
         """Per-cell collision counts in [0, m] for one query's codes."""
-        return self._gather(query_codes)
+        return self._gather(self._checked(query_codes))
 
     def query_threshold(self, query, t, scratch=None):
         """Ids passing the count threshold in every repetition (ascending order)."""
-        return self.query_threshold_codes(self.hash_query(query), t)
+        return self._threshold(self.hash_query(query), t)
 
     def query_threshold_codes(self, query_codes, t, scratch=None):
+        return self._threshold(self._checked(query_codes), t)
+
+    def _threshold(self, codes, t):
         m = self.config.hash_spec.m
         if not (0 < t <= m):
             raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
-        ok = self._gather(query_codes) >= t
-        cand = _ragged(self.cell_offsets, self.cell_members, np.flatnonzero(ok[: self.config.num_cells]))
+        ok = self._gather(codes) >= t
+        cand = self._members(np.flatnonzero(ok[: self.config.num_cells]))
         return np.sort(cand[ok[np.take(self.point_cells, cand, axis=1)].all(0)]).astype(np.int64)
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
-        return self.query_topk_codes_trace(self.hash_query(query), k)[0]
+        return self._topk(self.hash_query(query), k)[0]
 
     def query_topk_codes(self, query_codes, k, scratch=None):
         return self.query_topk_codes_trace(query_codes, k)[0]
 
     def query_topk_codes_trace(self, query_codes, k, scratch=None):
         """Top-k ids plus, per emission, the collision count of the emitting cell."""
+        return self._topk(self._checked(query_codes), k)
+
+    def _members(self, cells):
+        """The members of the given cells, concatenated in that order."""
+        return _ragged(self.cell_members, self.cell_offsets[cells], self.cell_offsets[cells + 1])
+
+    def _topk(self, codes, k):
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
-        counts = self._gather(query_codes)
+        counts = self._gather(codes)
         touched = np.flatnonzero(counts)
         # touched is ascending, so a stable sort breaks count ties by cell id
         order = touched[np.argsort(-counts[touched], kind="stable")]
         rank = np.full(self.config.total_cells, order.size)
         rank[order] = np.arange(order.size)
-        cand = _ragged(self.cell_offsets, self.cell_members, touched[touched < self.config.num_cells])
+        cand = self._members(touched[touched < self.config.num_cells])
         last = rank[np.take(self.point_cells, cand, axis=1)].max(0)
         keep = last < order.size
         # emission order is (last cell reached, id): ids ascend within a cell
@@ -288,7 +384,7 @@ class FlinngIndex:
     # -- serialization ------------------------------------------------------
 
     def _image_parts(self):
-        """The header, then the four arrays in image order as little-endian contiguous arrays."""
+        """The header, then the six arrays in image order as little-endian contiguous arrays."""
         cfg = self.config
         spec = cfg.hash_spec
         width = np.dtype(cfg.cell_dtype).itemsize
@@ -308,6 +404,7 @@ class FlinngIndex:
             0,
             self.n_points,
             self.table_payload.shape[0],
+            self.bucket_offsets.shape[0] - 1,
         )
         arrays = [getattr(self, name) for name in IMAGE_PARTS[1:]]
         return [header] + [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, _image_dtypes(width))]
@@ -327,7 +424,7 @@ class FlinngIndex:
         if len(buf) < _HEADER.size:
             raise FormatError("index image truncated before the header")
         (magic, version, kind_i, metric_i, width, _r0, B, R, m, l_bits, seed, dim, _r1,
-         n_points, payload_len) = _HEADER.unpack_from(buf, 0)
+         n_points, payload_len, nonempty) = _HEADER.unpack_from(buf, 0)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
@@ -350,8 +447,10 @@ class FlinngIndex:
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
             raise FormatError("R * n_points or the payload length does not fit the 32-bit offsets")
         total = B * R
+        n_buckets = m << l_bits
+        words = _bucket_words(n_buckets)
         dtypes = _image_dtypes(width)
-        counts = (total + 1, R * n_points, m * (1 << l_bits) + 1, payload_len)
+        counts = (words, words, nonempty + 1, total + 1, R * n_points, payload_len)
         # Python ints: a corrupt n_points cannot overflow the expected size
         expected = _HEADER.size + sum(c * d.itemsize for c, d in zip(counts, dtypes))
         if len(buf) != expected:
@@ -362,16 +461,26 @@ class FlinngIndex:
         for count, dtype in zip(counts, dtypes):
             arrays.append(np.frombuffer(buf, dtype, count, off))
             off += count * dtype.itemsize
-        cell_offsets, cell_members, table_offsets, table_payload = arrays
-        for name, offsets, end in (("membership", cell_offsets, R * n_points),
-                                   ("reverse-table", table_offsets, payload_len)):
-            if offsets[0] != 0 or offsets[-1] != end or (offsets[1:] < offsets[:-1]).any():
-                raise FormatError(f"corrupt {name} offsets")
+        bucket_bits, bucket_ranks, bucket_offsets, cell_offsets, cell_members, table_payload = arrays
+        if bucket_bits[-1] >> (n_buckets & 63):
+            raise FormatError("the bucket bitmap has bits past the last bucket")
+        if not np.array_equal(_word_ranks(bucket_bits), bucket_ranks):
+            raise FormatError("the bucket ranks are not the running popcount of the bitmap")
+        if int(bucket_ranks[-1]) + int(np.bitwise_count(bucket_bits[-1])) != nonempty:
+            raise FormatError(f"the bucket bitmap does not mark the header's {nonempty} non-empty buckets")
+        # every listed bucket is non-empty, so its offsets strictly increase
+        if (bucket_offsets[0] != 0 or bucket_offsets[-1] != payload_len
+                or (bucket_offsets[1:] <= bucket_offsets[:-1]).any()):
+            raise FormatError("corrupt reverse-table offsets")
+        if (cell_offsets[0] != 0 or cell_offsets[-1] != R * n_points
+                or (cell_offsets[1:] < cell_offsets[:-1]).any()):
+            raise FormatError("corrupt membership offsets")
         if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
         _check_membership(cell_offsets, cell_members, B, R, n_points)
         family = lsh.build_family(spec)
-        return cls(config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family)
+        return cls._from_parts(config, n_points, cell_offsets, cell_members, bucket_bits, bucket_ranks,
+                               bucket_offsets, table_payload, family)
 
     def save(self, path):
         with open(path, "wb") as fh:

@@ -91,6 +91,8 @@ def exact_topk(points, query, k, metric):
 def exact_topk_batch(points, queries, k, metric):
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
+    if len(points) == 0:
+        raise InputError("cannot search an empty corpus")
     if metric == "jaccard":
         postings = _TokenPostings(points)
         return [_select_topk(postings.similarities(q), k) for q in queries]
@@ -125,11 +127,12 @@ def evaluate(results, truth, k_list) -> EvalReport:
         raise InputError(f"{len(results)} result rows vs {len(truth)} truth rows")
     if not truth:
         raise InputError("cannot evaluate an empty query set")
+    # ids as integers: a cast would truncate a float id of 0.7 to a hit on id 0
+    rows = [lsh._token_ids(res, f"result row {i}: ids").astype(np.int64) for i, res in enumerate(results)]
     report = EvalReport()
     for k in k_list:
         hits = prec = rec = 0.0
-        for res, (true_ids, _sims) in zip(results, truth):
-            res = np.asarray(res, dtype=np.int64)
+        for res, (true_ids, _sims) in zip(rows, truth):
             got = res[:k]
             want = true_ids[:k]
             hits += float(true_ids.size > 0 and np.isin(true_ids[0], got).item())

@@ -140,9 +140,11 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1, l_cap=DEFAULT_L_CAP) -> P
     num_cells = 2 * math.ceil(sqrt_n)
     per_cell = n_points / num_cells
 
-    # smallest L with s_k**L >= 2 * per_cell * s_k1**L
+    # smallest L with s_k**L >= 2 * per_cell * s_k1**L, compared in logs: both powers
+    # underflow to 0 for small similarities
     target = 2.0 * per_cell
-    l_bits = next((L for L in range(1, l_cap + 1) if s_k**L >= target * s_k1**L), None)
+    l_bits = next((L for L in range(1, l_cap + 1)
+                   if L * (math.log(s_k) - math.log(s_k1)) >= math.log(target)), None)
     if l_bits is None:
         raise InfeasibleParameterError(
             f"no l_bits <= {l_cap} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"

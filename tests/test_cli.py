@@ -40,14 +40,20 @@ def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
     capsys.readouterr()
     assert run("inspect", index) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 2
+    assert report["version"] == 3
     assert report["cell_id_width"] == 2
     assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
     assert report["n_points"] == 6
     parts = report["part_bytes"]
-    assert list(parts) == ["header", "cell_offsets", "cell_members", "table_offsets", "table_payload"]
+    assert list(parts) == ["header", "bucket_bits", "bucket_ranks", "bucket_offsets", "cell_offsets",
+                           "cell_members", "table_payload"]
     assert sum(parts.values()) == index.stat().st_size
-    assert parts["table_offsets"] == 4 * (8 * 2**8 + 1)
+    assert report["buckets"] == 8 * 2**8
+    assert parts["header"] == 64
+    assert parts["bucket_bits"] == 8 * (8 * 2**8 // 64 + 1)  # one word past the last bucket
+    assert parts["bucket_ranks"] == 4 * (8 * 2**8 // 64 + 1)
+    assert parts["bucket_offsets"] == 4 * (report["nonempty_buckets"] + 1)
+    assert parts["table_payload"] == 2 * report["payload_length"]
     loaded = FlinngIndex.load(index)
     bucket_sizes = np.diff(loaded.table_offsets.astype(np.int64))
     assert report["nonempty_buckets"] == int((bucket_sizes > 0).sum()) > 0

@@ -415,6 +415,28 @@ def test_roundtrip_preserves_structure(token_corpus_50):
         assert np.array_equal(clone.query_topk(p, 10), idx.query_topk(p, 10))
 
 
+def test_dense_offsets_constructor_matches_build(token_corpus_50, srp_corpus_50):
+    # the constructor takes dense bucket offsets and stores the same parts as from_codes
+    for _, idx in (token_corpus_50, srp_corpus_50):
+        again = FlinngIndex(idx.config, idx.n_points, idx.cell_offsets, idx.cell_members, idx.table_offsets,
+                            idx.table_payload, idx.family)
+        assert again.to_bytes() == idx.to_bytes()
+        assert np.array_equal(again.table_offsets, idx.table_offsets)
+        assert not idx.table_offsets.flags.writeable
+
+
+def test_image_arrays_aligned_to_their_item_size(token_corpus_50, srp_corpus_50):
+    for _, idx in (token_corpus_50, srp_corpus_50):
+        at = 0
+        for name, part in zip(index_module.IMAGE_PARTS, idx._image_parts()):
+            view = memoryview(part)
+            assert at % view.itemsize == 0, name
+            at += view.nbytes
+        clone = FlinngIndex.from_bytes(idx.to_bytes())
+        for name in index_module.IMAGE_PARTS[1:]:
+            assert getattr(clone, name).flags.aligned, name
+
+
 def test_corrupt_magic_rejected(token_corpus_50):
     _, idx = token_corpus_50
     blob = bytearray(idx.to_bytes())
@@ -461,6 +483,36 @@ def _srp_dim_image(dim):
     return _header_field(idx, 36, dim)
 
 
+def _edited_image(idx, **edits):
+    # the image of idx with each edit applied to a copy of the array part it names
+    parts = idx._image_parts()
+    for name, edit in edits.items():
+        i = index_module.IMAGE_PARTS.index(name)
+        parts[i] = parts[i].copy()
+        edit(parts[i])
+    return b"".join(parts)
+
+
+def _extra_bucket_image(idx):
+    # one more bit in the last word that holds buckets, and the sentinel word's rank to match:
+    # a self-consistent bitmap that marks one bucket more than the header and the offsets list
+    def add_bit(bits):
+        bits[-2] |= ~bits[-2] & (bits[-2] + np.uint64(1))
+    return _edited_image(idx, bucket_bits=add_bit, bucket_ranks=lambda a: a.__setitem__(-1, a[-1] + 1))
+
+
+def _bit_past_last_bucket_image():
+    # 3 tables of 16 buckets fill 48 bits of one word: move the highest set bit to bit 48,
+    # so the popcount, the ranks and the offsets still agree
+    codes = np.random.default_rng(6).integers(0, 16, (12, 3))
+    idx = codes_index(codes, B=3, R=2, m=3, l_bits=4)
+
+    def move(bits):
+        top = int(bits[0]).bit_length() - 1
+        bits[0] ^= np.uint64((1 << top) | (1 << 48))
+    return _edited_image(idx, bucket_bits=move)
+
+
 def _zero_point_image(idx):
     # a header of n_points = 0 with arrays to match: every offset 0, no members, no payload
     cfg, spec = idx.config, idx.config.hash_spec
@@ -478,12 +530,24 @@ def _zero_point_image(idx):
         _wide_payload_image,
         lambda idx: _header_field(idx, 16, 0),  # R = 0
         lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
+        lambda idx: _header_field(idx, 4, 2),  # version 2 had dense bucket offsets
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
         _zero_point_image,
+        lambda idx: _edited_image(idx, bucket_ranks=lambda a: a.__setitem__(1, a[1] + 1)),
+        _extra_bucket_image,
+        lambda idx: _bit_past_last_bucket_image(),
+        lambda idx: _edited_image(idx, bucket_bits=lambda a: a.__setitem__(-1, 1)),
+        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(2, a[1])),
+        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(0, 1)),
+        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(-1, a[-1] + 1)),
+        lambda idx: _header_field(idx, 60, idx.bucket_offsets.size),  # one more non-empty bucket
+        lambda idx: _header_field(idx, 60, idx.bucket_offsets.size - 2),
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "version-1", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points"],
+         "version-1", "version-2", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points", "rank-not-popcount",
+         "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
+         "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50
@@ -538,8 +602,8 @@ def srp_corpus_50():
 def test_fuzzed_image_rejected_or_answers_in_range(request, corpus, data):
     points, idx = request.getfixturevalue(corpus)
     blob = bytearray(idx.to_bytes())
-    # half the flips land in the header and memberships, the rest anywhere
-    front = len(blob) - idx.table_offsets.nbytes - idx.table_payload.nbytes
+    # half the flips land in the header and the bucket bitmap, ranks and offsets, the rest anywhere
+    front = sum(memoryview(part).nbytes for part in idx._image_parts()[:4])
     where = st.one_of(st.integers(0, front - 1), st.integers(0, len(blob) - 1))
     for pos, mask in data.draw(st.lists(st.tuples(where, st.integers(1, 255)), max_size=3)):
         blob[pos] ^= mask

@@ -59,7 +59,7 @@ def test_ragged_over_uint32_offsets_matches_plain_concatenation():
     values = rng.integers(0, 1000, int(offsets[-1])).astype(np.uint16)
     rows = np.array([31, 2, 2, 17, 0, 39, 5, 30])  # non-ascending, with a repeat
     expect = [v for r in rows.tolist() for v in values[offsets[r] : offsets[r + 1]].tolist()]
-    got = _ragged_gather(offsets, values, rows)
+    got = _ragged_gather(values, offsets[rows], offsets[rows + 1])
     assert got.tolist() == expect
     assert got.dtype == values.dtype
 

@@ -144,6 +144,21 @@ def test_evaluate_recall_monotone_in_k():
     assert rep.recall_at_k[10] == 1.0
 
 
+@pytest.mark.parametrize("row", [[0.7], np.array([0.7]), [-1], ["0"]], ids=["float-list", "float-array",
+                                                                            "negative", "string"])
+def test_evaluate_rejects_non_integer_ids(row):
+    # a float id of 0.7 was truncated to 0 and counted as a hit
+    with pytest.raises(InputError):
+        oracle.evaluate([row], [(np.array([0]), np.array([1.0]))], [1])
+
+
+@pytest.mark.parametrize("metric", ["jaccard", "cosine"])
+def test_exact_topk_on_empty_corpus_rejected(metric):
+    query = [1, 2, 3] if metric == "jaccard" else [1.0, 2.0]
+    with pytest.raises(InputError, match="empty corpus"):
+        oracle.exact_topk_batch([], [query], 1, metric)
+
+
 def test_evaluate_misaligned_raises():
     with pytest.raises(InputError):
         oracle.evaluate([[1]], [], [1])

@@ -137,6 +137,12 @@ def test_plan_l_bits_is_smallest_feasible():
         assert plan.m * per_cell * sk1**L < plan.t_int < plan.m * sk**L
 
 
+def test_plan_l_bits_with_underflowing_similarities():
+    # 1e-10**33 and 0.9e-10**33 both underflow to 0, which a linear comparison takes as met
+    plan = theory.plan_parameters(10_000, 0.05, 0.25, 1e-10, 0.9e-10)
+    assert plan.l_bits == math.ceil(math.log(100) / math.log(1 / 0.9)) == 44
+
+
 def test_plan_domain_errors():
     with pytest.raises(DomainError):
         theory.plan_parameters(100, 0.05, 0.25, 0.5, 0.125)
