@@ -220,8 +220,7 @@ def cmd_bench(args):
     rows = []
     for B, R, m in itertools.product(args.B, args.R, args.m):
         index, build_seconds = _build_index(points, args, B, R, m)
-        if queries:
-            index.query_topk(queries[0], args.k)  # keep first-call costs out of the latencies
+        index.query_topk(queries[0], args.k)  # keep first-call costs out of the latencies
         latencies = []
         results = []
         for q in queries:
@@ -238,8 +237,8 @@ def cmd_bench(args):
             "recall": report.recall_at_k[args.k],
             "build_seconds": round(build_seconds, 6),
             "index_bytes": index.nbytes,
-            "latency_p50_ns": int(np.percentile(lat, 50)) if latencies else 0,
-            "latency_p95_ns": int(np.percentile(lat, 95)) if latencies else 0,
+            "latency_p50_ns": int(np.percentile(lat, 50)),
+            "latency_p95_ns": int(np.percentile(lat, 95)),
         })
     for row, flag in zip(rows, _pareto_flags(rows)):
         row["pareto"] = int(flag)
@@ -343,12 +342,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FlinngError as exc:
-        for cls, code in EXIT_CODES:
-            if isinstance(exc, cls):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), 1)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,6 @@ must share the dimension. Parsers are total: any byte stream either parses
 or raises a positioned error.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,11 @@ def load_tokens(path):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 text ({exc})") from exc
+    lines = text.split("\n")  # only "\n" ends a line; "\r" and the rest are whitespace in it
+    if not lines[-1]:
+        lines.pop()  # the empty text after a final "\n", or an empty file
     points = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         fields = line.split()
         if not fields:
             raise InputError(f"{path}:{lineno}: blank line (every line must hold a point)")
@@ -55,48 +57,44 @@ def save_tokens(path, points):
             fh.write("\n")
 
 
+def _dense_record(dim):
+    """The dense file's record: an int32 dimension, then dim float32 values, little-endian."""
+    return np.dtype([("dim", "<i4"), ("vec", "<f4", (dim,))])
+
+
 def load_dense(path):
-    """Parse a dense binary file into a (n, dim) float32 matrix."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4:
+    """Parse a dense binary file into a (n, dim) float32 view of its vectors in one writable buffer."""
+    data = np.fromfile(path, np.uint8)
+    if data.size < 4:
         raise FormatError(f"{path}: record 0: truncated before the dimension field")
-    dim = struct.unpack_from("<i", data, 0)[0]
+    dim = int(data[:4].view("<i4")[0])
     if dim <= 0:
         raise FormatError(f"{path}: record 0: non-positive dimension {dim}")
-    rec = 4 + 4 * dim
-    vectors = []
-    offset = 0
-    record = 0
-    while offset < len(data):
-        if offset + 4 > len(data):
-            raise FormatError(f"{path}: record {record}: truncated dimension field")
-        d = struct.unpack_from("<i", data, offset)[0]
-        if d != dim:
-            raise FormatError(f"{path}: record {record}: dimension {d} != {dim}")
-        if offset + rec > len(data):
-            raise FormatError(f"{path}: record {record}: truncated payload")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 4)
-        if not np.isfinite(vec).all():
-            raise FormatError(f"{path}: record {record}: non-finite value")
-        vectors.append(vec)
-        offset += rec
-        record += 1
-    if not vectors:
-        raise FormatError(f"{path}: empty dense file")
-    return np.vstack(vectors).astype(np.float32)
+    # sized before numpy sees the dim: a header may ask for a record past numpy's dtype limit
+    n, tail = divmod(data.size, 4 + 4 * dim)
+    if n == 0:
+        raise FormatError(f"{path}: record 0: truncated record")
+    recs = np.frombuffer(data, _dense_record(dim), n)
+    wrong_dim = recs["dim"] != dim
+    bad = np.flatnonzero(wrong_dim | ~np.isfinite(recs["vec"]).all(1))
+    if bad.size:
+        i = bad[0]
+        what = f"dimension {recs['dim'][i]} != {dim}" if wrong_dim[i] else "non-finite value"
+        raise FormatError(f"{path}: record {i}: {what}")
+    if tail:
+        raise FormatError(f"{path}: record {n}: truncated record")
+    return recs["vec"]
 
 
 def save_dense(path, matrix):
-    mat = np.ascontiguousarray(matrix, dtype="<f4")
+    mat = np.asarray(matrix, dtype="<f4")
     if mat.ndim != 2:
         raise InputError("dense data must be a 2-d matrix")
-    dim = mat.shape[1]
+    recs = np.empty(mat.shape[0], _dense_record(mat.shape[1]))
+    recs["dim"] = mat.shape[1]
+    recs["vec"] = mat
     with open(path, "wb") as fh:
-        header = struct.pack("<i", dim)
-        for row in mat:
-            fh.write(header)
-            fh.write(row.tobytes())
+        fh.write(recs.data)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInvalidError, ConfigError, InputError
-from .lsh import MAX_L_BITS, _code_array
+from .lsh import MAX_L_BITS, _code_array, _integer
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,16 @@ class DistanceSensitiveFilter:
     """m binary arrays of length 2**l_bits with a positive-report threshold t."""
 
     def __init__(self, m, l_bits, t):
+        m = _integer(m, "m", ConfigError)
+        l_bits = _integer(l_bits, "l_bits", ConfigError)
+        t = _integer(t, "t", ConfigError)
         if m < 1:
             raise ConfigError(f"m must be positive, got {m}")
         if not (1 <= l_bits <= MAX_L_BITS):
             raise ConfigError(f"l_bits must be in [1, {MAX_L_BITS}], got {l_bits}")
         if not (0 < t <= m):
             raise ConfigError(f"threshold t must satisfy 0 < t <= m, got t={t} m={m}")
-        self.m = int(m)
-        self.l_bits = int(l_bits)
-        self.t = int(t)
+        self.m, self.l_bits, self.t = m, l_bits, t
         self.arrays = np.zeros((self.m, 1 << self.l_bits), dtype=bool)
         self.count_inserted = 0
         self._rows = np.arange(self.m)

@@ -343,6 +343,7 @@ class FlinngIndex:
 
     def _threshold(self, codes, t):
         m = self.config.hash_spec.m
+        t = lsh._integer(t, "threshold")
         if not (0 < t <= m):
             raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
         ok = self._gather(codes) >= t
@@ -365,6 +366,7 @@ class FlinngIndex:
         return _ragged(self.cell_members, self.cell_offsets[cells], self.cell_offsets[cells + 1])
 
     def _topk(self, codes, k):
+        k = lsh._integer(k, "k")
         if k < 1:
             raise InputError(f"k must be >= 1, got {k}")
         counts = self._gather(codes)

@@ -20,7 +20,8 @@ threads. Same spec means bit-identical family, codes, and downstream index.
 
 This module also holds the one check of each kind of outside input, which
 the index, the filter and the oracle call too: ``_token_ids`` for token
-sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes.
+sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes,
+``_integer`` for counts such as k, t and filter sizes.
 """
 
 from dataclasses import dataclass
@@ -85,6 +86,13 @@ def _as_array(x, name):
         return np.asarray(x)
     except ValueError as exc:  # numpy's "inhomogeneous shape" for ragged lists
         raise InputError(f"{name} must form a regular array: {exc}") from exc
+
+
+def _integer(value, name, error=InputError):
+    """A Python or numpy integer as int; ``error`` for anything else, which would be truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _code_array(codes, m, l_bits, name="codes", matrix=False):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,18 @@ def test_load_tokens_positioned_errors(tmp_path, content, fragment):
         dataio.load_tokens(f)
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["1\x0c2\n3\n", "1 2\r\n3\r\n", "1\r2\n3", "1\u20282\n3\n"],
+    ids=["form-feed", "crlf", "lone-cr", "line-separator"],
+)
+def test_load_tokens_ends_lines_at_newline_only(tmp_path, content):
+    # every other line-break character is whitespace inside a line, so ids follow "\n" lines
+    f = tmp_path / "pts.txt"
+    f.write_bytes(content.encode("utf-8"))
+    assert [p.tolist() for p in dataio.load_tokens(f)] == [[1, 2], [3]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.binary(max_size=400))
 def test_token_parser_is_total(tmp_path_factory, data):
@@ -73,31 +88,41 @@ def test_dense_roundtrip_bitwise(tmp_path):
     f = tmp_path / "big.dense"
     dataio.save_dense(f, mat)
     back = dataio.load_dense(f)
-    assert back.dtype == np.float32
+    assert back.dtype == np.float32 and back.flags.writeable
     assert np.array_equal(back.view(np.uint32), mat.view(np.uint32))
 
 
-def test_dense_dim_mismatch_names_record(tmp_path):
-    import struct
+def test_dense_file_bytes_are_the_documented_records(tmp_path):
+    f = tmp_path / "golden.dense"
+    dataio.save_dense(f, np.array([[1.0, -2.5, 3.0], [0.0, 4.0, 1e-3]]))
+    assert f.read_bytes() == struct.pack("<i3f", 3, 1.0, -2.5, 3.0) + struct.pack("<i3f", 3, 0.0, 4.0, 1e-3)
 
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (struct.pack("<i2f", 2, 1.0, 2.0) + struct.pack("<i3f", 3, 1.0, 2.0, 3.0), "record 1: dimension 3 != 2"),
+        (struct.pack("<i2f", 2, 1.0, 2.0)[:-3], "record 0: truncated"),
+        (struct.pack("<i2f", 2, 1.0, float("nan")), "record 0: non-finite"),
+        (struct.pack("<i2f", 2, float("nan"), 1.0) + struct.pack("<i3f", 3, 1.0, 2.0, 3.0),
+         "record 0: non-finite"),
+        (struct.pack("<i2f", 2, 1.0, 2.0) + b"\x02\x00", "record 1: truncated"),
+        (struct.pack("<i2f", 2, 1.0, 2.0) + struct.pack("<i2f", -2, 1.0, 2.0), "record 1: dimension -2 != 2"),
+        (struct.pack("<ii", 2**31 - 1, 0), "record 0: truncated"),
+    ],
+    ids=["dim-mismatch", "truncated-payload", "non-finite", "earliest-bad-record", "short-tail", "negative-dim",
+         "huge-header-dim"],
+)
+def test_dense_first_bad_record_named(tmp_path, blob, message):
     f = tmp_path / "bad.dense"
-    blob = struct.pack("<i2f", 2, 1.0, 2.0) + struct.pack("<i3f", 3, 1.0, 2.0, 3.0)
     f.write_bytes(blob)
-    with pytest.raises(FormatError, match="record 1"):
-        dataio.load_dense(f)
-
-
-def test_dense_truncation_and_nonfinite(tmp_path):
-    import struct
-
-    f = tmp_path / "trunc.dense"
-    f.write_bytes(struct.pack("<i2f", 2, 1.0, 2.0)[:-3])
-    with pytest.raises(FormatError, match="truncated"):
-        dataio.load_dense(f)
-    g = tmp_path / "nan.dense"
-    g.write_bytes(struct.pack("<i2f", 2, 1.0, float("nan")))
-    with pytest.raises(FormatError, match="non-finite"):
-        dataio.load_dense(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=message):
+            dataio.load_dense(f)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20  # nothing sized from the header
+    finally:
+        tracemalloc.stop()
 
 
 @settings(max_examples=60, deadline=None)

@@ -109,6 +109,18 @@ def test_bad_inputs():
         f.insert(np.array([1, 2, 3, 16], dtype=np.uint32))
 
 
+@pytest.mark.parametrize("m, l_bits, t", [(4.7, 4, 2), (4, 3.9, 2), (4, 4, 2.5)], ids=["m", "l_bits", "t"])
+def test_non_integer_sizes_rejected(m, l_bits, t):
+    # unchecked, each would be truncated and the filter's t could disagree with the index's
+    with pytest.raises(ConfigError, match="must be an integer"):
+        DistanceSensitiveFilter(m, l_bits, t)
+
+
+def test_numpy_integer_sizes_accepted():
+    f = DistanceSensitiveFilter(np.int64(4), np.uint8(4), np.int32(2))
+    assert (f.m, f.l_bits, f.t) == (4, 4, 2) and type(f.t) is int
+
+
 @pytest.mark.parametrize(
     "method, codes",
     [

@@ -307,6 +307,18 @@ def test_topk_k_validation(token_corpus_50):
         idx.query_topk(points[0], 0)
 
 
+def test_non_integer_k_and_t_rejected(token_corpus_50):
+    # unchecked, k = 2.5 reaches np.partition and t = 2.5 acts as 3
+    points, idx = token_corpus_50
+    q = points[0]
+    with pytest.raises(InputError, match="k must be an integer"):
+        idx.query_topk(q, 2.5)
+    with pytest.raises(InputError, match="threshold must be an integer"):
+        idx.query_threshold(q, 2.5)
+    assert np.array_equal(idx.query_topk(q, np.int64(3)), idx.query_topk(q, 3))
+    assert np.array_equal(idx.query_threshold(q, np.uint8(2)), idx.query_threshold(q, 2))
+
+
 def test_exact_match_recall_over_seeds():
     hits = 0
     for seed in range(100):
@@ -612,13 +624,14 @@ def test_fuzzed_image_rejected_or_answers_in_range(request, corpus, data):
         clone = FlinngIndex.from_bytes(bytes(blob[:cut]))
     except FormatError:
         return
-    m = idx.config.hash_spec.m
+    spec = clone.config.hash_spec
     for p in points[:3]:
-        codes = idx.hash_query(p)
+        # a flipped m or l_bits can still load (m = 17 keeps the bitmap's word count): fit the codes to it
+        codes = np.resize(idx.hash_query(p), spec.m) & ((1 << spec.l_bits) - 1)
         for ids in (
             clone.query_topk_codes(codes, 10),
             clone.query_threshold_codes(codes, 1),
-            clone.query_threshold_codes(codes, m),
+            clone.query_threshold_codes(codes, spec.m),
         ):
             assert ((ids >= 0) & (ids < clone.n_points)).all()
 
