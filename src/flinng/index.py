@@ -36,13 +36,13 @@ METRIC_JACCARD = "jaccard"
 METRIC_COSINE = "cosine"
 
 _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
+_KIND_METRIC = {kind: metric for metric, kind in _METRIC_KIND.items()}
 
 MAGIC = b"FLNG"
-VERSION = 3
-# 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned
-_HEADER = struct.Struct("<4sIBBBBIIIIQIIQQI")
+VERSION = 4
+# 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned; pad bytes are reserved zeros
+_HEADER = struct.Struct("<4sIB3xIIIIQI4xQQI")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
-_METRICS = (METRIC_JACCARD, METRIC_COSINE)
 
 MAX_REPETITIONS = 255
 # offsets are uint32: R * n_points and the reverse-table payload length stay below this
@@ -50,8 +50,7 @@ OFFSET_LIMIT = 1 << 32
 
 # the header, then the index arrays of these names, in image order: item sizes never
 # grow along it, so every array starts aligned to its own item size
-IMAGE_PARTS = ("header", "bucket_bits", "bucket_ranks", "bucket_offsets", "cell_offsets", "cell_members",
-               "table_payload")
+IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "cell_offsets", "cell_members", "table_payload")
 
 # entry s: the bits of a word below bit s
 _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
@@ -60,7 +59,7 @@ _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.ui
 def _image_dtypes(width):
     """Image dtypes of the arrays in IMAGE_PARTS[1:]."""
     u4 = np.dtype("<u4")
-    return np.dtype("<u8"), u4, u4, u4, u4, np.dtype(f"<u{width}")
+    return np.dtype("<u8"), u4, u4, u4, np.dtype(f"<u{width}")
 
 
 def _word_ranks(bits):
@@ -74,10 +73,15 @@ def _bucket_words(n_buckets):
     return (n_buckets >> 6) + 1
 
 
-def _bucket_directory(flags):
-    """The bitmap of one bool per bit as uint64 words, and its ranks as uint32."""
-    bits = np.packbits(flags, bitorder="little").view("<u8")
-    return bits, _word_ranks(bits).astype(np.uint32)
+def _bucket_bitmap(flags):
+    """The bitmap of one bool per bit as uint64 words."""
+    return np.packbits(flags, bitorder="little").view("<u8")
+
+
+def _check_family(family, config):
+    """Raise ConfigError unless a family passed in was built for the config's hash spec."""
+    if family is not None and family.spec != config.hash_spec:
+        raise ConfigError(f"hash family built for {family.spec}, but the config has {config.hash_spec}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,9 @@ class FlinngConfig:
 
     def validate(self):
         lsh._validate_spec(self.hash_spec)
-        if self.num_cells < 2:
+        if lsh._integer(self.num_cells, "num_cells", ConfigError) < 2:
             raise ConfigError(f"num_cells must be >= 2, got {self.num_cells}")
-        if self.repetitions < 1:
+        if lsh._integer(self.repetitions, "repetitions", ConfigError) < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.repetitions > MAX_REPETITIONS:
             raise ConfigError(f"repetitions capped at {MAX_REPETITIONS}")
@@ -168,17 +172,22 @@ class FlinngIndex:
     ``table_payload[bucket_offsets[rank(b)] : bucket_offsets[rank(b + 1)]]``,
     where rank(x), the set bits before bit x, is ``bucket_ranks[x >> 6]`` plus
     those below x in its word. An empty bucket has rank(b + 1) = rank(b).
+    The rank directory ``bucket_ranks`` and the hash ``family`` are derived,
+    not stored; a family passed to the constructor or ``from_codes`` must be
+    built for ``config.hash_spec``, and is kept.
     """
 
-    def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family):
+    def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family=None):
         """An index from dense bucket offsets: bucket b spans table_offsets[b] .. table_offsets[b + 1]."""
+        _check_family(family, config)
         table_offsets = np.asarray(table_offsets, dtype=np.uint32)
         nonempty = np.flatnonzero(np.diff(table_offsets))
         flags = np.zeros(_bucket_words(table_offsets.size - 1) * 64, dtype=bool)
         flags[nonempty] = True
-        bits, ranks = _bucket_directory(flags)
-        self._set(config, n_points, cell_offsets, cell_members, bits, ranks,
-                  np.append(table_offsets[nonempty], table_offsets[-1]), table_payload, family)
+        self._set(config, n_points, cell_offsets, cell_members, _bucket_bitmap(flags),
+                  np.append(table_offsets[nonempty], table_offsets[-1]), table_payload)
+        if family is not None:
+            self.family = family
 
     @classmethod
     def _from_parts(cls, *parts):
@@ -187,17 +196,15 @@ class FlinngIndex:
         index._set(*parts)
         return index
 
-    def _set(self, config, n_points, cell_offsets, cell_members, bucket_bits, bucket_ranks, bucket_offsets,
-             table_payload, family):
+    def _set(self, config, n_points, cell_offsets, cell_members, bucket_bits, bucket_offsets, table_payload):
         self.config = config
         self.n_points = n_points
         self.cell_offsets = cell_offsets  # (B*R + 1,) uint32, last entry R * N
         self.cell_members = cell_members  # (R * N,) uint32, ascending ids per cell
         self.bucket_bits = bucket_bits  # (m * 2**l_bits // 64 + 1,) uint64, bit b set: bucket b non-empty
-        self.bucket_ranks = bucket_ranks  # uint32 per word, set bits in the words before it
+        self.bucket_ranks = _word_ranks(bucket_bits)  # int64 per word, set bits in the words before it
         self.bucket_offsets = bucket_offsets  # (non-empty buckets + 1,) uint32, last entry payload length
         self.table_payload = table_payload  # uint16/uint32 cell ids, dedup per bucket
-        self.family = family
         spec = config.hash_spec
         # row 0: the first bucket of each table; row 1: the bucket after it
         self._table_base = (np.arange(spec.m, dtype=np.int64) << spec.l_bits) + np.array([[0], [1]])
@@ -227,6 +234,7 @@ class FlinngIndex:
     def from_codes(cls, codes, config: FlinngConfig, family=None):
         """Assemble the grid and reverse tables from a precomputed (n, m) code matrix."""
         config.validate()
+        _check_family(family, config)
         spec = config.hash_spec
         codes = lsh._code_array(codes, spec.m, spec.l_bits, matrix=True)
         n, m = codes.shape
@@ -235,8 +243,6 @@ class FlinngIndex:
         B, R = config.num_cells, config.repetitions
         if R * n >= OFFSET_LIMIT:
             raise InputError(f"repetitions * n_points = {R * n} does not fit the 32-bit cell offsets")
-        if family is None:
-            family = lsh.build_family(spec)
 
         total = config.total_cells
         # repetition r: permute, then position i lands in cell i mod B
@@ -272,12 +278,12 @@ class FlinngIndex:
             flags[buckets[first] + i * table_size] = True
             starts.append((first + payload_len).astype(np.uint32))
             payload_len += buckets.size
-        bits, ranks = _bucket_directory(flags)
         bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
-        table_payload = np.concatenate(payloads)
-
-        return cls._from_parts(config, n, cell_offsets, cell_members, bits, ranks, bucket_offsets,
-                               table_payload, family)
+        index = cls._from_parts(config, n, cell_offsets, cell_members, _bucket_bitmap(flags), bucket_offsets,
+                                np.concatenate(payloads))
+        if family is not None:
+            index.family = family
+        return index
 
     # -- inspection ---------------------------------------------------------
 
@@ -308,6 +314,11 @@ class FlinngIndex:
         dense = self.bucket_offsets[before]
         dense.flags.writeable = False
         return dense
+
+    @cached_property
+    def family(self):
+        """The hash family of ``config.hash_spec``, built on first use (the first query), not stored."""
+        return lsh.build_family(self.config.hash_spec)
 
     def hash_query(self, point):
         if self.config.metric == METRIC_JACCARD:
@@ -386,28 +397,13 @@ class FlinngIndex:
     # -- serialization ------------------------------------------------------
 
     def _image_parts(self):
-        """The header, then the six arrays in image order as little-endian contiguous arrays."""
+        """The header, then the five arrays in image order as little-endian contiguous arrays."""
         cfg = self.config
         spec = cfg.hash_spec
         width = np.dtype(cfg.cell_dtype).itemsize
-        header = _HEADER.pack(
-            MAGIC,
-            VERSION,
-            _KINDS.index(spec.kind),
-            _METRICS.index(cfg.metric),
-            width,
-            0,
-            cfg.num_cells,
-            cfg.repetitions,
-            spec.m,
-            spec.l_bits,
-            spec.seed,
-            spec.dim or 0,
-            0,
-            self.n_points,
-            self.table_payload.shape[0],
-            self.bucket_offsets.shape[0] - 1,
-        )
+        header = _HEADER.pack(MAGIC, VERSION, _KINDS.index(spec.kind), cfg.num_cells, cfg.repetitions, spec.m,
+                              spec.l_bits, spec.seed, spec.dim or 0, self.n_points, self.table_payload.shape[0],
+                              self.bucket_offsets.shape[0] - 1)
         arrays = [getattr(self, name) for name in IMAGE_PARTS[1:]]
         return [header] + [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, _image_dtypes(width))]
 
@@ -425,25 +421,21 @@ class FlinngIndex:
         """Check an image and view its arrays, read-only, in one private copy of ``buf``."""
         if len(buf) < _HEADER.size:
             raise FormatError("index image truncated before the header")
-        (magic, version, kind_i, metric_i, width, _r0, B, R, m, l_bits, seed, dim, _r1,
-         n_points, payload_len, nonempty) = _HEADER.unpack_from(buf, 0)
+        (magic, version, kind_i, B, R, m, l_bits, seed, dim, n_points, payload_len,
+         nonempty) = _HEADER.unpack_from(buf, 0)
         if magic != MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise FormatError(f"unsupported index version {version}")
-        if kind_i >= len(_KINDS) or metric_i >= len(_METRICS):
+        if kind_i >= len(_KINDS):
             raise FormatError("corrupt header fields")
-        spec = lsh.HashFamilySpec(
-            kind=_KINDS[kind_i], m=m, l_bits=l_bits, seed=seed,
-            dim=dim if _KINDS[kind_i] == lsh.KIND_SRP else None,
-        )
-        config = FlinngConfig(num_cells=B, repetitions=R, hash_spec=spec, metric=_METRICS[metric_i])
+        kind = _KINDS[kind_i]
+        spec = lsh.HashFamilySpec(kind=kind, m=m, l_bits=l_bits, seed=seed, dim=dim if kind == lsh.KIND_SRP else None)
+        config = FlinngConfig(num_cells=B, repetitions=R, hash_spec=spec, metric=_KIND_METRIC[kind])
         try:
             config.validate()
         except ConfigError as exc:
             raise FormatError(f"corrupt header fields: {exc}") from exc
-        if width != np.dtype(config.cell_dtype).itemsize:
-            raise FormatError(f"cell id width {width} does not match a grid of {B * R} cells")
         if n_points < 1:
             raise FormatError("the header holds zero points")
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
@@ -451,8 +443,8 @@ class FlinngIndex:
         total = B * R
         n_buckets = m << l_bits
         words = _bucket_words(n_buckets)
-        dtypes = _image_dtypes(width)
-        counts = (words, words, nonempty + 1, total + 1, R * n_points, payload_len)
+        dtypes = _image_dtypes(np.dtype(config.cell_dtype).itemsize)
+        counts = (words, nonempty + 1, total + 1, R * n_points, payload_len)
         # Python ints: a corrupt n_points cannot overflow the expected size
         expected = _HEADER.size + sum(c * d.itemsize for c, d in zip(counts, dtypes))
         if len(buf) != expected:
@@ -463,12 +455,10 @@ class FlinngIndex:
         for count, dtype in zip(counts, dtypes):
             arrays.append(np.frombuffer(buf, dtype, count, off))
             off += count * dtype.itemsize
-        bucket_bits, bucket_ranks, bucket_offsets, cell_offsets, cell_members, table_payload = arrays
+        bucket_bits, bucket_offsets, cell_offsets, cell_members, table_payload = arrays
         if bucket_bits[-1] >> (n_buckets & 63):
             raise FormatError("the bucket bitmap has bits past the last bucket")
-        if not np.array_equal(_word_ranks(bucket_bits), bucket_ranks):
-            raise FormatError("the bucket ranks are not the running popcount of the bitmap")
-        if int(bucket_ranks[-1]) + int(np.bitwise_count(bucket_bits[-1])) != nonempty:
+        if int(np.bitwise_count(bucket_bits).sum()) != nonempty:
             raise FormatError(f"the bucket bitmap does not mark the header's {nonempty} non-empty buckets")
         # every listed bucket is non-empty, so its offsets strictly increase
         if (bucket_offsets[0] != 0 or bucket_offsets[-1] != payload_len
@@ -480,9 +470,8 @@ class FlinngIndex:
         if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
         _check_membership(cell_offsets, cell_members, B, R, n_points)
-        family = lsh.build_family(spec)
-        return cls._from_parts(config, n_points, cell_offsets, cell_members, bucket_bits, bucket_ranks,
-                               bucket_offsets, table_payload, family)
+        return cls._from_parts(config, n_points, cell_offsets, cell_members, bucket_bits, bucket_offsets,
+                               table_payload)
 
     def save(self, path):
         with open(path, "wb") as fh:

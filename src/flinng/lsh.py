@@ -21,7 +21,7 @@ threads. Same spec means bit-identical family, codes, and downstream index.
 This module also holds the one check of each kind of outside input, which
 the index, the filter and the oracle call too: ``_token_ids`` for token
 sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes,
-``_integer`` for counts such as k, t and filter sizes.
+``_integer`` for counts such as k, t, filter sizes and spec fields.
 """
 
 from dataclasses import dataclass
@@ -133,13 +133,13 @@ class HashFamily:
 def _validate_spec(spec):
     if spec.kind not in (KIND_MINHASH, KIND_SRP):
         raise ConfigError(f"unknown hash family kind {spec.kind!r}")
-    if spec.m < 1:
+    if _integer(spec.m, "m", ConfigError) < 1:
         raise ConfigError(f"m must be positive, got {spec.m}")
-    if not (1 <= spec.l_bits <= MAX_L_BITS):
+    if not (1 <= _integer(spec.l_bits, "l_bits", ConfigError) <= MAX_L_BITS):
         raise ConfigError(f"l_bits must be in [1, {MAX_L_BITS}], got {spec.l_bits}")
-    if not (0 <= spec.seed <= _U64_MAX):
+    if not (0 <= _integer(spec.seed, "seed", ConfigError) <= _U64_MAX):
         raise ConfigError("seed must fit in 64 bits")
-    if spec.kind == KIND_SRP and (spec.dim is None or spec.dim < 1):
+    if spec.kind == KIND_SRP and (spec.dim is None or _integer(spec.dim, "dim", ConfigError) < 1):
         raise ConfigError("srp families require a positive dim")
     if spec.kind == KIND_SRP and spec.m * spec.l_bits * spec.dim > MAX_SRP_FLOATS:
         raise ConfigError(f"srp m * l_bits * dim exceeds {MAX_SRP_FLOATS} direction floats")
@@ -259,7 +259,7 @@ def estimate_collision(kind, x, y, trials, seed=0):
     they agree. An srp family holds trials * dim directions, so an srp
     estimate needs trials * dim <= MAX_SRP_FLOATS.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise InputError("trials must be >= 1")
     if kind == KIND_SRP:
         pair = _numeric([x, y])

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lsh
 from .errors import (
     DegenerateQueryError,
     DomainError,
@@ -56,6 +57,19 @@ class ParamPlan:
     footnote_ok: bool
 
 
+def _check_grid(n_points, n_positives, num_cells, repetitions):
+    """InputError unless the counts are integers describing a grid that holds a positive and a negative."""
+    for name, value in (("n_points", n_points), ("n_positives", n_positives), ("num_cells", num_cells),
+                        ("repetitions", repetitions)):
+        lsh._integer(value, name)
+    if not (1 <= n_positives < n_points):
+        raise InputError(f"need 1 <= n_positives < n_points, got {n_positives}, {n_points}")
+    if not (2 <= num_cells <= n_points):
+        raise InputError(f"need 2 <= num_cells <= n_points, got {num_cells}")
+    if repetitions < 1:
+        raise InputError(f"repetitions must be >= 1, got {repetitions}")
+
+
 def group_testing_bounds(tpr, fpr, num_cells, repetitions, n_points, n_positives) -> GroupTestBounds:
     """Decode error bounds for a num_cells x repetitions grid of noisy tests.
 
@@ -72,12 +86,7 @@ def group_testing_bounds(tpr, fpr, num_cells, repetitions, n_points, n_positives
     """
     if not (0.0 <= fpr <= tpr <= 1.0):
         raise InputError(f"need 0 <= fpr <= tpr <= 1, got fpr={fpr} tpr={tpr}")
-    if not (1 <= n_positives < n_points):
-        raise InputError(f"need 1 <= n_positives < n_points, got {n_positives}, {n_points}")
-    if not (2 <= num_cells <= n_points):
-        raise InputError(f"need 2 <= num_cells <= n_points, got {num_cells}")
-    if repetitions < 1:
-        raise InputError(f"repetitions must be >= 1, got {repetitions}")
+    _check_grid(n_points, n_positives, num_cells, repetitions)
     B, R, N, K = num_cells, repetitions, n_points, n_positives
     co_high = (math.e * N * (B - 1) / (B * (N - 1))) ** K
     co_low = (N * (B - 1) / (math.e * B * (N - 1))) ** K
@@ -182,16 +191,11 @@ def simulate_group_test(n_points, n_positives, num_cells, repetitions, tpr, fpr,
     is reported when its cell fired in every repetition. Returns the observed
     (tpr, fpr) pair aggregated over all trials.
     """
-    if trials < 1:
+    if lsh._integer(trials, "trials") < 1:
         raise InputError("trials must be >= 1")
     if not (0.0 <= tpr <= 1.0 and 0.0 <= fpr <= 1.0):
         raise InputError("tpr and fpr must lie in [0, 1]")
-    if not (1 <= n_positives < n_points):
-        raise InputError(f"need 1 <= n_positives < n_points, got {n_positives}, {n_points}")
-    if not (2 <= num_cells <= n_points):
-        raise InputError(f"need 2 <= num_cells <= n_points, got {num_cells}")
-    if repetitions < 1:
-        raise InputError(f"repetitions must be >= 1, got {repetitions}")
+    _check_grid(n_points, n_positives, num_cells, repetitions)
     rng = np.random.default_rng(seed)
     N, B, R, K = n_points, num_cells, repetitions, n_positives
     reported_pos = 0

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from flinng import dataio
+from flinng import dataio, lsh
 from flinng.cli import _pareto_flags, main
-from flinng.index import FlinngIndex
+from flinng.index import FlinngConfig, FlinngIndex
 from tests.conftest import random_token_points
 
 SIX_POINTS = "1 2 3\n4 5 6\n7 8 9\n10 11 12\n13 14 15\n16 17 18\n"
@@ -40,24 +40,45 @@ def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
     capsys.readouterr()
     assert run("inspect", index) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 3
+    assert report["version"] == 4
     assert report["cell_id_width"] == 2
     assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
     assert report["n_points"] == 6
     parts = report["part_bytes"]
-    assert list(parts) == ["header", "bucket_bits", "bucket_ranks", "bucket_offsets", "cell_offsets",
-                           "cell_members", "table_payload"]
+    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "cell_offsets", "cell_members",
+                           "table_payload"]
     assert sum(parts.values()) == index.stat().st_size
     assert report["buckets"] == 8 * 2**8
     assert parts["header"] == 64
     assert parts["bucket_bits"] == 8 * (8 * 2**8 // 64 + 1)  # one word past the last bucket
-    assert parts["bucket_ranks"] == 4 * (8 * 2**8 // 64 + 1)
     assert parts["bucket_offsets"] == 4 * (report["nonempty_buckets"] + 1)
     assert parts["table_payload"] == 2 * report["payload_length"]
     loaded = FlinngIndex.load(index)
     bucket_sizes = np.diff(loaded.table_offsets.astype(np.int64))
     assert report["nonempty_buckets"] == int((bucket_sizes > 0).sum()) > 0
     assert report["min_cell_size"] == report["max_cell_size"] == 2  # 6 points in 3 cells
+
+
+def test_load_and_inspect_build_no_hash_family(tmp_path, capsys, monkeypatch):
+    # an srp family is most of a load's work: only the first query builds it
+    points = np.random.default_rng(2).standard_normal((40, 16))
+    spec = lsh.HashFamilySpec("srp", m=8, l_bits=6, seed=5, dim=16)
+    built = FlinngIndex.build(points, FlinngConfig(num_cells=4, repetitions=2, hash_spec=spec, metric="cosine"))
+    path = tmp_path / "dense.flinng"
+    built.save(path)
+
+    def refuse(spec):
+        raise AssertionError("hash family built")
+    monkeypatch.setattr(lsh, "build_family", refuse)
+    loaded = FlinngIndex.load(path)
+    assert run("inspect", path) == 0
+    assert json.loads(capsys.readouterr().out)["hash_kind"] == "srp"
+
+    calls = []
+    monkeypatch.setattr(lsh, "build_family", lambda spec: calls.append(spec) or built.family)
+    for p in points[:3]:
+        assert np.array_equal(loaded.query_topk(p, 5), built.query_topk(p, 5))
+    assert calls == [spec]
 
 
 def test_inspect_missing_and_corrupt_files(six, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -96,6 +97,46 @@ def test_config_validation():
         FlinngConfig(4, 2, HashFamilySpec("minhash", 4, 8, 0), "cosine").validate()
     with pytest.raises(ConfigError):
         FlinngConfig(1 << 20, 1 << 13, HashFamilySpec("minhash", 4, 8, 0), "jaccard").validate()
+
+
+@pytest.mark.parametrize(
+    "B, R, spec",
+    [
+        (16, 2, HashFamilySpec("minhash", m=8.0, l_bits=8, seed=0)),
+        (16, 2, HashFamilySpec("minhash", m=8, l_bits=8.5, seed=0)),
+        (16, 2, HashFamilySpec("minhash", m=8, l_bits=8, seed=1.5)),
+        (16, 2, HashFamilySpec("srp", m=8, l_bits=8, seed=0, dim=4.0)),
+        (16.5, 2, HashFamilySpec("minhash", m=8, l_bits=8, seed=0)),
+        (16, 2.5, HashFamilySpec("minhash", m=8, l_bits=8, seed=0)),
+    ],
+    ids=["m", "l_bits", "seed", "dim", "num_cells", "repetitions"],
+)
+def test_non_integer_config_sizes_rejected(B, R, spec):
+    # unchecked, m = 8.0 builds and answers but cannot be saved, and the others raise a bare TypeError
+    metric = "cosine" if spec.kind == "srp" else "jaccard"
+    with pytest.raises(ConfigError, match="must be an integer"):
+        FlinngConfig(B, R, spec, metric).validate()
+
+
+def test_numpy_integer_config_sizes_accepted():
+    spec = HashFamilySpec("srp", m=np.int64(8), l_bits=np.uint8(8), seed=np.uint64(3), dim=np.int32(4))
+    FlinngConfig(np.int64(16), np.int16(2), spec, "cosine").validate()
+
+
+@pytest.mark.parametrize("change", [{"seed": 5}, {"l_bits": 10}, {"m": 9}], ids=["seed", "l_bits", "m"])
+def test_family_for_another_spec_rejected(change):
+    # unchecked, another seed finds no point itself, l_bits 10 runs past the bitmap, and m 9 mis-shapes the codes
+    points = random_token_points(50, 40, seed=2)
+    cfg = config(8, 3, m=8, l_bits=8, seed=4)
+    idx = FlinngIndex.build(points, cfg)
+    other = build_family(dataclasses.replace(cfg.hash_spec, **change))
+    codes = hash_set_many(idx.family, points)
+    with pytest.raises(ConfigError, match="hash family"):
+        FlinngIndex.from_codes(codes, cfg, family=other)
+    with pytest.raises(ConfigError, match="hash family"):
+        FlinngIndex(cfg, idx.n_points, idx.cell_offsets, idx.cell_members, idx.table_offsets, idx.table_payload,
+                    other)
+    assert FlinngIndex.from_codes(codes, cfg, family=idx.family).family is idx.family
 
 
 def test_build_warns_when_cells_exceed_points():
@@ -474,7 +515,8 @@ def _image(idx, **arrays):
 
 
 def _wide_payload_image(idx):
-    # a 4-byte payload for a 2-byte grid: cell 65536 + c would load as cell c
+    # a 4-byte payload for a 2-byte grid, with byte 10 (the cell id width up to version 3) set to 4:
+    # the width follows the grid, so cell 65536 + c cannot load as cell c
     payload = idx.table_payload.astype("<u4")
     payload[0] += 1 << 16
     blob = bytearray(idx.to_bytes()[: -idx.table_payload.nbytes])
@@ -506,16 +548,16 @@ def _edited_image(idx, **edits):
 
 
 def _extra_bucket_image(idx):
-    # one more bit in the last word that holds buckets, and the sentinel word's rank to match:
-    # a self-consistent bitmap that marks one bucket more than the header and the offsets list
+    # one more bit in the last word that holds buckets: a bitmap that marks one bucket more
+    # than the header and the offsets list
     def add_bit(bits):
         bits[-2] |= ~bits[-2] & (bits[-2] + np.uint64(1))
-    return _edited_image(idx, bucket_bits=add_bit, bucket_ranks=lambda a: a.__setitem__(-1, a[-1] + 1))
+    return _edited_image(idx, bucket_bits=add_bit)
 
 
 def _bit_past_last_bucket_image():
     # 3 tables of 16 buckets fill 48 bits of one word: move the highest set bit to bit 48,
-    # so the popcount, the ranks and the offsets still agree
+    # so the popcount and the offsets still agree
     codes = np.random.default_rng(6).integers(0, 16, (12, 3))
     idx = codes_index(codes, B=3, R=2, m=3, l_bits=4)
 
@@ -543,10 +585,10 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 16, 0),  # R = 0
         lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
         lambda idx: _header_field(idx, 4, 2),  # version 2 had dense bucket offsets
+        lambda idx: _header_field(idx, 4, 3),  # version 3 stored the bucket ranks
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
         _zero_point_image,
-        lambda idx: _edited_image(idx, bucket_ranks=lambda a: a.__setitem__(1, a[1] + 1)),
         _extra_bucket_image,
         lambda idx: _bit_past_last_bucket_image(),
         lambda idx: _edited_image(idx, bucket_bits=lambda a: a.__setitem__(-1, 1)),
@@ -557,7 +599,7 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 60, idx.bucket_offsets.size - 2),
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "version-1", "version-2", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points", "rank-not-popcount",
+         "version-1", "version-2", "version-3", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
          "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
          "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low"],
 )
@@ -614,8 +656,8 @@ def srp_corpus_50():
 def test_fuzzed_image_rejected_or_answers_in_range(request, corpus, data):
     points, idx = request.getfixturevalue(corpus)
     blob = bytearray(idx.to_bytes())
-    # half the flips land in the header and the bucket bitmap, ranks and offsets, the rest anywhere
-    front = sum(memoryview(part).nbytes for part in idx._image_parts()[:4])
+    # half the flips land in the header and the bucket bitmap and offsets, the rest anywhere
+    front = sum(memoryview(part).nbytes for part in idx._image_parts()[:3])
     where = st.one_of(st.integers(0, front - 1), st.integers(0, len(blob) - 1))
     for pos, mask in data.draw(st.lists(st.tuples(where, st.integers(1, 255)), max_size=3)):
         blob[pos] ^= mask

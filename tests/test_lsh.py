@@ -142,6 +142,14 @@ def test_estimate_collision_exact_cases():
     assert lsh.estimate_collision("srp", v, v, trials=500) == 1.0
 
 
+def test_estimate_collision_rejects_non_integer_trials():
+    # unchecked, 3.5 trials hash with a 4-bit family
+    x = lsh.token_set([1, 2, 3])
+    with pytest.raises(InputError, match="trials must be an integer"):
+        lsh.estimate_collision("minhash", x, x, trials=3.5)
+    assert lsh.estimate_collision("minhash", x, x, trials=np.int64(4)) == 1.0
+
+
 @pytest.mark.parametrize("x", [[math.nan, 1.0], ["1", "2"]], ids=["nan", "strings"])
 def test_estimate_collision_srp_rejects_non_numbers(x):
     # unchecked, the nan pair estimates 0.508 and the strings parse as floats

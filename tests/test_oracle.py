@@ -152,6 +152,18 @@ def test_evaluate_rejects_non_integer_ids(row):
         oracle.evaluate([row], [(np.array([0]), np.array([1.0]))], [1])
 
 
+@pytest.mark.parametrize("k", [-1, 0, 2.5], ids=["negative", "zero", "float"])
+def test_cutoffs_must_be_positive_integers(k):
+    # unchecked, evaluate scored k = -1 on all but the last id, and k = 2.5 raised numpy's TypeError
+    truth = [(np.array([0, 1, 2]), np.array([1.0, 0.5, 0.25]))]
+    with pytest.raises(InputError, match="k must be"):
+        oracle.evaluate([[0, 1, 2]], truth, [1, k])
+    with pytest.raises(InputError, match="k must be"):
+        oracle.exact_topk_batch([[1, 2], [2, 3], [3, 4]], [[1, 2]], k, "jaccard")
+    with pytest.raises(InputError, match="k must be"):
+        oracle.exact_topk_batch([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], k, "cosine")
+
+
 @pytest.mark.parametrize("metric", ["jaccard", "cosine"])
 def test_exact_topk_on_empty_corpus_rejected(metric):
     query = [1, 2, 3] if metric == "jaccard" else [1.0, 2.0]

@@ -41,6 +41,18 @@ def test_bounds_domain_checks():
         theory.group_testing_bounds(0.9, 0.1, 200, 2, 100, 1)  # more cells than points
 
 
+@pytest.mark.parametrize("count", range(4), ids=["n_points", "n_positives", "num_cells", "repetitions"])
+def test_grid_counts_must_be_integers(count):
+    # unchecked, simulate_group_test(50.5, ...) raised numpy's TypeError and the bounds took any float
+    grid = [100, 1, 10, 2]
+    grid[count] += 0.5
+    n, k, b, r = grid
+    with pytest.raises(InputError, match="must be an integer"):
+        theory.group_testing_bounds(0.9, 0.1, b, r, n, k)
+    with pytest.raises(InputError, match="must be an integer"):
+        theory.simulate_group_test(n, k, b, r, 0.9, 0.1, trials=10)
+
+
 def test_bounds_clamped_to_unit_interval():
     b = theory.group_testing_bounds(1.0, 1.0, 2, 1, 10, 9)
     assert 0.0 <= b.fpr_upper <= 1.0
@@ -191,3 +203,5 @@ def test_simulate_validates_inputs():
         theory.simulate_group_test(100, 0, 10, 2, 0.5, 0.1, trials=10)
     with pytest.raises(InputError):
         theory.simulate_group_test(100, 1, 10, 2, 1.5, 0.1, trials=10)
+    with pytest.raises(InputError, match="trials must be an integer"):
+        theory.simulate_group_test(100, 1, 10, 2, 0.5, 0.1, trials=10.5)
