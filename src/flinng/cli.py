@@ -8,6 +8,7 @@ from timing columns.
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -145,26 +146,13 @@ def cmd_groundtruth(args):
     return 0
 
 
+# ParamPlan fields printed under the paper's names; the others keep their own
+PLAN_RENAMES = {"num_cells": "B", "repetitions_raw": "R_raw", "repetitions": "R"}
+
+
 def cmd_plan(args):
     plan = theory.plan_parameters(args.n, args.delta, args.gamma, args.sk, args.sk1)
-    pairs = [
-        ("n_points", plan.n_points),
-        ("delta", plan.delta),
-        ("gamma", plan.gamma),
-        ("s_k", plan.s_k),
-        ("s_k1", plan.s_k1),
-        ("B", plan.num_cells),
-        ("R_raw", plan.repetitions_raw),
-        ("R", plan.repetitions),
-        ("p", plan.p),
-        ("q", plan.q),
-        ("m", plan.m),
-        ("l_bits", plan.l_bits),
-        ("t", plan.t),
-        ("t_int", plan.t_int),
-        ("alpha_bound", plan.alpha_bound),
-        ("footnote_ok", plan.footnote_ok),
-    ]
+    pairs = [(PLAN_RENAMES.get(key, key), value) for key, value in dataclasses.asdict(plan).items()]
     for key, value in pairs:
         print(f"{key}={value}")
     if args.out:

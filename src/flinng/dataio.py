@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
+from . import lsh, oracle
 from .errors import ConfigError, FormatError, InputError
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
@@ -24,7 +24,8 @@ def load_tokens(path):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not valid UTF-8 text ({exc})") from exc
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{lineno}: not valid UTF-8 text ({exc})") from exc
     lines = text.split("\n")  # only "\n" ends a line; "\r" and the rest are whitespace in it
     if not lines[-1]:
         lines.pop()  # the empty text after a final "\n", or an empty file
@@ -51,9 +52,14 @@ def load_tokens(path):
 
 
 def save_tokens(path, points):
+    """Write one point per line; InputError, before the file is opened, for a point load_tokens would reject."""
+    rows = [lsh._token_ids(p, f"point {i}: token ids") for i, p in enumerate(points)]
+    empty = [i for i, row in enumerate(rows) if row.size == 0]
+    if empty:
+        raise InputError(f"point {empty[0]} is an empty token set")
     with open(path, "w", encoding="utf-8") as fh:
-        for p in points:
-            fh.write(" ".join(str(int(t)) for t in np.asarray(p).ravel()))
+        for row in rows:
+            fh.write(" ".join(map(str, row.tolist())))
             fh.write("\n")
 
 
@@ -87,9 +93,17 @@ def load_dense(path):
 
 
 def save_dense(path, matrix):
-    mat = np.asarray(matrix, dtype="<f4")
-    if mat.ndim != 2:
-        raise InputError("dense data must be a 2-d matrix")
+    """Write the rows of a 2-d matrix as dense records.
+
+    InputError, before the file is opened, for what load_dense would reject:
+    zero columns, or entries that are not numbers, not finite or past the
+    float32 range.
+    """
+    mat = lsh._numeric(matrix)
+    if mat.ndim != 2 or (mat.shape[0] and not mat.shape[1]):
+        raise InputError(f"dense data must be a 2-d matrix of at least one column, got shape {mat.shape}")
+    if mat.size and np.abs(lsh._finite(mat)).max() > np.finfo(np.float32).max:
+        raise InputError("vector entries must lie in the float32 range")
     recs = np.empty(mat.shape[0], _dense_record(mat.shape[1]))
     recs["dim"] = mat.shape[1]
     recs["vec"] = mat
@@ -126,32 +140,27 @@ def generate_synthetic(spec: SyntheticSpec, truth_depth=10):
     """
     if not (0.0 < spec.s_high <= 1.0):
         raise ConfigError(f"need 0 < s_high <= 1, got {spec.s_high}")
-    if spec.n_points < 1 or spec.tokens_per_point < 1:
-        raise ConfigError("n_points and tokens_per_point must be positive")
-    if not (1 <= spec.n_queries <= spec.n_points):
-        raise ConfigError(f"need 1 <= n_queries <= n_points, got {spec.n_queries}")
-    blocks_needed = (spec.n_points + spec.n_queries) * spec.tokens_per_point
-    if spec.universe < blocks_needed:
-        raise ConfigError(
-            f"universe {spec.universe} too small: disjoint blocks need {blocks_needed} tokens"
-        )
-    keep, realized = planted_similarity(spec.tokens_per_point, spec.s_high)
+    n_points = lsh._count(spec.n_points, "n_points", error=ConfigError)
+    T = lsh._count(spec.tokens_per_point, "tokens_per_point", error=ConfigError)
+    n_queries = lsh._count(spec.n_queries, "n_queries", high=n_points, error=ConfigError)
+    # disjoint blocks: T tokens for every point and every query
+    lsh._count(spec.universe, "universe", (n_points + n_queries) * T, error=ConfigError)
+    keep, realized = planted_similarity(T, spec.s_high)
     if abs(realized - spec.s_high) > 0.05:
         raise ConfigError(
-            f"tokens_per_point={spec.tokens_per_point} too small to realize "
+            f"tokens_per_point={T} too small to realize "
             f"s_high={spec.s_high} (closest achievable is {realized:.4f})"
         )
 
-    T = spec.tokens_per_point
     base = np.arange(T, dtype=np.uint64)
-    points = [base + np.uint64(i * T) for i in range(spec.n_points)]
+    points = [base + np.uint64(i * T) for i in range(n_points)]
 
     rng = np.random.default_rng(spec.seed)
-    planted = rng.choice(spec.n_points, size=spec.n_queries, replace=False)
+    planted = rng.choice(n_points, size=n_queries, replace=False)
     queries = []
     for j, src in enumerate(planted):
         kept = rng.choice(T, size=keep, replace=False)
-        fresh_block = np.uint64((spec.n_points + j) * T)
+        fresh_block = np.uint64((n_points + j) * T)
         fresh = fresh_block + base[: T - keep]
         queries.append(np.unique(np.concatenate([points[src][kept], fresh])))
     truth = oracle.exact_topk_batch(points, queries, truth_depth, "jaccard")

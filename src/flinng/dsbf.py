@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInvalidError, ConfigError, InputError
-from .lsh import MAX_L_BITS, _code_array, _integer
+from .lsh import MAX_L_BITS, _code_array, _count
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,9 @@ class DistanceSensitiveFilter:
     """m binary arrays of length 2**l_bits with a positive-report threshold t."""
 
     def __init__(self, m, l_bits, t):
-        m = _integer(m, "m", ConfigError)
-        l_bits = _integer(l_bits, "l_bits", ConfigError)
-        t = _integer(t, "t", ConfigError)
-        if m < 1:
-            raise ConfigError(f"m must be positive, got {m}")
-        if not (1 <= l_bits <= MAX_L_BITS):
-            raise ConfigError(f"l_bits must be in [1, {MAX_L_BITS}], got {l_bits}")
-        if not (0 < t <= m):
-            raise ConfigError(f"threshold t must satisfy 0 < t <= m, got t={t} m={m}")
-        self.m, self.l_bits, self.t = m, l_bits, t
+        self.m = _count(m, "m", error=ConfigError)
+        self.l_bits = _count(l_bits, "l_bits", high=MAX_L_BITS, error=ConfigError)
+        self.t = _count(t, "t", high=self.m, error=ConfigError)
         self.arrays = np.zeros((self.m, 1 << self.l_bits), dtype=bool)
         self.count_inserted = 0
         self._rows = np.arange(self.m)
@@ -76,14 +69,13 @@ def membership_error_bounds(m, t, l_bits, s_high, s_low, n_points) -> FilterBoun
     a ratio strictly outside that window raises BoundInvalidError naming the
     violated side. Boundary equality returns the vacuous bound (0 or 1).
     """
-    if m < 1 or n_points < 0:
-        raise InputError("m must be >= 1 and n_points >= 0")
+    m = _count(m, "m")
+    l_bits = _count(l_bits, "l_bits")
+    n_points = _count(n_points, "n_points", 0)
     if not (0.0 <= s_low <= s_high <= 1.0):
         raise InputError(f"need 0 <= s_low <= s_high <= 1, got {s_low}, {s_high}")
     if not (0 < t <= m):
         raise InputError(f"threshold must satisfy 0 < t <= m, got t={t} m={m}")
-    if l_bits < 1:
-        raise InputError("l_bits must be >= 1")
     ratio = t / m
     hi = s_high**l_bits
     lo = n_points * s_low**l_bits

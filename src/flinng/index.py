@@ -95,12 +95,8 @@ class FlinngConfig:
 
     def validate(self):
         lsh._validate_spec(self.hash_spec)
-        if lsh._integer(self.num_cells, "num_cells", ConfigError) < 2:
-            raise ConfigError(f"num_cells must be >= 2, got {self.num_cells}")
-        if lsh._integer(self.repetitions, "repetitions", ConfigError) < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.repetitions > MAX_REPETITIONS:
-            raise ConfigError(f"repetitions capped at {MAX_REPETITIONS}")
+        lsh._count(self.num_cells, "num_cells", 2, error=ConfigError)
+        lsh._count(self.repetitions, "repetitions", high=MAX_REPETITIONS, error=ConfigError)
         if self.num_cells * self.repetitions >= 1 << 32:
             raise ConfigError("num_cells * repetitions exceeds the 32-bit cell id width")
         if self.metric not in _METRIC_KIND:
@@ -353,10 +349,7 @@ class FlinngIndex:
         return self._threshold(self._checked(query_codes), t)
 
     def _threshold(self, codes, t):
-        m = self.config.hash_spec.m
-        t = lsh._integer(t, "threshold")
-        if not (0 < t <= m):
-            raise InputError(f"threshold must satisfy 0 < t <= {m}, got {t}")
+        t = lsh._count(t, "threshold", high=self.config.hash_spec.m)
         ok = self._gather(codes) >= t
         cand = self._members(np.flatnonzero(ok[: self.config.num_cells]))
         return np.sort(cand[ok[np.take(self.point_cells, cand, axis=1)].all(0)]).astype(np.int64)
@@ -377,9 +370,7 @@ class FlinngIndex:
         return _ragged(self.cell_members, self.cell_offsets[cells], self.cell_offsets[cells + 1])
 
     def _topk(self, codes, k):
-        k = lsh._integer(k, "k")
-        if k < 1:
-            raise InputError(f"k must be >= 1, got {k}")
+        k = lsh._count(k, "k")
         counts = self._gather(codes)
         touched = np.flatnonzero(counts)
         # touched is ascending, so a stable sort breaks count ties by cell id

@@ -21,7 +21,8 @@ threads. Same spec means bit-identical family, codes, and downstream index.
 This module also holds the one check of each kind of outside input, which
 the index, the filter and the oracle call too: ``_token_ids`` for token
 sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes,
-``_integer`` for counts such as k, t, filter sizes and spec fields.
+``_count`` for integer counts such as k, t, grid and filter sizes, trials and
+spec fields, each in its range.
 """
 
 from dataclasses import dataclass
@@ -88,10 +89,16 @@ def _as_array(x, name):
         raise InputError(f"{name} must form a regular array: {exc}") from exc
 
 
-def _integer(value, name, error=InputError):
-    """A Python or numpy integer as int; ``error`` for anything else, which would be truncated."""
+def _count(value, name, low=1, high=None, error=InputError):
+    """A Python or numpy integer in [low, high] as int (no upper end when high is None).
+
+    ``error`` for anything else: a float count would be truncated, and one out
+    of range would size, cut off or address the wrong thing.
+    """
     if not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        raise error(f"{name} must be {f'>= {low}' if high is None else f'in [{low}, {high}]'}, got {value}")
     return int(value)
 
 
@@ -133,15 +140,10 @@ class HashFamily:
 def _validate_spec(spec):
     if spec.kind not in (KIND_MINHASH, KIND_SRP):
         raise ConfigError(f"unknown hash family kind {spec.kind!r}")
-    if _integer(spec.m, "m", ConfigError) < 1:
-        raise ConfigError(f"m must be positive, got {spec.m}")
-    if not (1 <= _integer(spec.l_bits, "l_bits", ConfigError) <= MAX_L_BITS):
-        raise ConfigError(f"l_bits must be in [1, {MAX_L_BITS}], got {spec.l_bits}")
-    if not (0 <= _integer(spec.seed, "seed", ConfigError) <= _U64_MAX):
-        raise ConfigError("seed must fit in 64 bits")
-    if spec.kind == KIND_SRP and (spec.dim is None or _integer(spec.dim, "dim", ConfigError) < 1):
-        raise ConfigError("srp families require a positive dim")
-    if spec.kind == KIND_SRP and spec.m * spec.l_bits * spec.dim > MAX_SRP_FLOATS:
+    m = _count(spec.m, "m", error=ConfigError)
+    l_bits = _count(spec.l_bits, "l_bits", high=MAX_L_BITS, error=ConfigError)
+    _count(spec.seed, "seed", 0, _U64_MAX, ConfigError)
+    if spec.kind == KIND_SRP and m * l_bits * _count(spec.dim, "srp dim", error=ConfigError) > MAX_SRP_FLOATS:
         raise ConfigError(f"srp m * l_bits * dim exceeds {MAX_SRP_FLOATS} direction floats")
 
 
@@ -259,8 +261,7 @@ def estimate_collision(kind, x, y, trials, seed=0):
     they agree. An srp family holds trials * dim directions, so an srp
     estimate needs trials * dim <= MAX_SRP_FLOATS.
     """
-    if _integer(trials, "trials") < 1:
-        raise InputError("trials must be >= 1")
+    trials = _count(trials, "trials")
     if kind == KIND_SRP:
         pair = _numeric([x, y])
         if pair.ndim != 2:

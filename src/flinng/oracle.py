@@ -72,14 +72,6 @@ class _TokenPostings:
         return inter / union
 
 
-def _cutoff(k):
-    """A cutoff k as int; InputError unless it is an integer >= 1."""
-    k = lsh._integer(k, "k")
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    return k
-
-
 def _select_topk(sims, k):
     n = sims.shape[0]
     if k >= n:
@@ -97,7 +89,7 @@ def exact_topk(points, query, k, metric):
 
 
 def exact_topk_batch(points, queries, k, metric):
-    k = _cutoff(k)
+    k = lsh._count(k, "k")
     if len(points) == 0:
         raise InputError("cannot search an empty corpus")
     if metric == "jaccard":
@@ -134,7 +126,7 @@ def evaluate(results, truth, k_list) -> EvalReport:
         raise InputError(f"{len(results)} result rows vs {len(truth)} truth rows")
     if not truth:
         raise InputError("cannot evaluate an empty query set")
-    k_list = [_cutoff(k) for k in k_list]
+    k_list = [lsh._count(k, "k") for k in k_list]
     # ids as integers: a cast would truncate a float id of 0.7 to a hit on id 0
     rows = [lsh._token_ids(res, f"result row {i}: ids").astype(np.int64) for i, res in enumerate(results)]
     report = EvalReport()

@@ -58,16 +58,14 @@ class ParamPlan:
 
 
 def _check_grid(n_points, n_positives, num_cells, repetitions):
-    """InputError unless the counts are integers describing a grid that holds a positive and a negative."""
-    for name, value in (("n_points", n_points), ("n_positives", n_positives), ("num_cells", num_cells),
-                        ("repetitions", repetitions)):
-        lsh._integer(value, name)
-    if not (1 <= n_positives < n_points):
-        raise InputError(f"need 1 <= n_positives < n_points, got {n_positives}, {n_points}")
-    if not (2 <= num_cells <= n_points):
-        raise InputError(f"need 2 <= num_cells <= n_points, got {num_cells}")
-    if repetitions < 1:
-        raise InputError(f"repetitions must be >= 1, got {repetitions}")
+    """The counts as ints; InputError unless they describe a grid that holds a positive and a negative."""
+    n_points = lsh._count(n_points, "n_points", 2)
+    return (
+        n_points,
+        lsh._count(n_positives, "n_positives", 1, n_points - 1),
+        lsh._count(num_cells, "num_cells", 2, n_points),
+        lsh._count(repetitions, "repetitions"),
+    )
 
 
 def group_testing_bounds(tpr, fpr, num_cells, repetitions, n_points, n_positives) -> GroupTestBounds:
@@ -86,8 +84,7 @@ def group_testing_bounds(tpr, fpr, num_cells, repetitions, n_points, n_positives
     """
     if not (0.0 <= fpr <= tpr <= 1.0):
         raise InputError(f"need 0 <= fpr <= tpr <= 1, got fpr={fpr} tpr={tpr}")
-    _check_grid(n_points, n_positives, num_cells, repetitions)
-    B, R, N, K = num_cells, repetitions, n_points, n_positives
+    N, K, B, R = _check_grid(n_points, n_positives, num_cells, repetitions)
     co_high = (math.e * N * (B - 1) / (B * (N - 1))) ** K
     co_low = (N * (B - 1) / (math.e * B * (N - 1))) ** K
     per_rep = fpr * co_high + tpr * (1.0 - co_low)
@@ -113,8 +110,8 @@ def gamma_stability(s_k: float, s_k1: float) -> float:
 
 def alpha_bound(m, n_points, gamma) -> float:
     """Shared error-variable bound exp(-m * n_points**(-gamma) / 8)."""
-    if m < 1 or n_points < 1:
-        raise InputError("m and n_points must be >= 1")
+    m = lsh._count(m, "m")
+    n_points = lsh._count(n_points, "n_points")
     if gamma < 0:
         raise InputError(f"gamma must be >= 0, got {gamma}")
     return math.exp(-m * n_points ** (-gamma) / 8.0)
@@ -131,6 +128,7 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1, l_cap=DEFAULT_L_CAP) -> P
     """
     if n_points < MIN_PLAN_POINTS:
         raise DomainError(f"planner requires n_points >= {MIN_PLAN_POINTS}, got {n_points}")
+    n_points = lsh._count(n_points, "n_points")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie strictly in (0, 1), got {delta}")
     if gamma < 0:
@@ -191,13 +189,11 @@ def simulate_group_test(n_points, n_positives, num_cells, repetitions, tpr, fpr,
     is reported when its cell fired in every repetition. Returns the observed
     (tpr, fpr) pair aggregated over all trials.
     """
-    if lsh._integer(trials, "trials") < 1:
-        raise InputError("trials must be >= 1")
+    trials = lsh._count(trials, "trials")
     if not (0.0 <= tpr <= 1.0 and 0.0 <= fpr <= 1.0):
         raise InputError("tpr and fpr must lie in [0, 1]")
-    _check_grid(n_points, n_positives, num_cells, repetitions)
+    N, K, B, R = _check_grid(n_points, n_positives, num_cells, repetitions)
     rng = np.random.default_rng(seed)
-    N, B, R, K = n_points, num_cells, repetitions, n_positives
     reported_pos = 0
     reported_neg = 0
     chunk = max(1, min(trials, 1 + (1 << 22) // (R * N)))

@@ -165,9 +165,14 @@ def test_groundtruth_six_by_six(six, tmp_path):
         assert sims == sorted(sims, reverse=True)
 
 
+PLAN_KEYS = ["n_points", "delta", "gamma", "s_k", "s_k1", "B", "R_raw", "R", "p", "q", "m", "l_bits", "t", "t_int",
+             "alpha_bound", "footnote_ok"]
+
+
 def test_plan_prints_key_values(capsys):
     assert run("plan", "--n", 10000, "--delta", 0.05, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.125) == 0
     text = capsys.readouterr().out
+    assert [line.split("=")[0] for line in text.splitlines()] == PLAN_KEYS
     assert "R=11" in text
     assert "q=0.01" in text
     assert "l_bits=4" in text
@@ -178,6 +183,7 @@ def test_plan_csv_output(tmp_path):
     out = tmp_path / "plan.csv"
     assert run("plan", "--n", 10000, "--delta", 0.05, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.125, "--out", out) == 0
     rows = list(csv.DictReader(out.open()))
+    assert list(rows[0]) == PLAN_KEYS
     assert rows[0]["R"] == "11" and rows[0]["m"] == "487"
 
 

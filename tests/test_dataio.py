@@ -41,11 +41,12 @@ def test_load_tokens_roundtrip_large(tmp_path):
         (f"{2**64}\n", "overflows"),
         ("1 apple\n", "column 2"),
         ("", "empty"),
+        (b"1 2\n\xff\n", ":2:"),  # invalid UTF-8, numbered
     ],
 )
 def test_load_tokens_positioned_errors(tmp_path, content, fragment):
     f = tmp_path / "bad.txt"
-    f.write_text(content)
+    f.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(InputError, match=fragment):
         dataio.load_tokens(f)
 
@@ -72,6 +73,32 @@ def test_token_parser_is_total(tmp_path_factory, data):
         assert all(p.dtype == np.uint64 for p in pts)
     except FlinngError:
         pass
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[1.5, 2.7]], [["7", "8"]], [np.array([[1, 2], [3, 4]])], [[-1, 3]], [[2**64]], [[4], []]],
+    ids=["floats", "strings", "2-d", "negative", "2^64", "empty"],
+)
+def test_save_tokens_rejects_what_load_tokens_would(tmp_path, points):
+    # unchecked, floats were truncated, strings parsed, a 2-d point flattened, and the rest written unreadable
+    f = tmp_path / "pts.txt"
+    with pytest.raises(InputError, match=f"point {len(points) - 1}"):
+        dataio.save_tokens(f, points)
+    assert not f.exists()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[["1", "2"]], [[True, False]], [[np.nan, 1.0]], [[1e40, 1.0]], np.zeros((2, 0))],
+    ids=["strings", "booleans", "nan", "past-float32", "no-columns"],
+)
+def test_save_dense_rejects_what_load_dense_would(tmp_path, matrix):
+    # unchecked, strings were parsed, booleans written as 1.0 and 0.0, and the rest written unreadable
+    f = tmp_path / "bad.dense"
+    with pytest.raises(InputError):
+        dataio.save_dense(f, matrix)
+    assert not f.exists()
 
 
 def test_dense_roundtrip_single(tmp_path):
@@ -184,6 +211,13 @@ def test_synthetic_infeasible_precision():
 def test_synthetic_universe_too_small():
     with pytest.raises(ConfigError, match="universe"):
         dataio.generate_synthetic(spec(universe=100))
+
+
+@pytest.mark.parametrize("field", ["n_points", "tokens_per_point", "n_queries", "universe"])
+def test_synthetic_non_integer_sizes_rejected(field):
+    # unchecked, a fractional size raised numpy's TypeError and a fractional universe passed
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        dataio.generate_synthetic(spec(**{field: getattr(spec(), field) + 0.5}))
 
 
 def test_synthetic_invalid_band():

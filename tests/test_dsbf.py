@@ -162,9 +162,16 @@ def test_bound_values_match_direct_evaluation():
     assert b.p_lower == pytest.approx(1 - math.exp(-1.0))
     assert b.q_upper == pytest.approx(math.exp(-2 * 8 * (0.5 - 0.25) ** 2))
 
-    # t/m = 0.9 with n * s_low**L = 0.5 gives exp(-2.56)
+    # t/m = 0.9 with n * s_low**L = 0.5 gives exp(-2.56); t may be fractional, as the planner's t is
     b = membership_error_bounds(m=8, t=7.2, l_bits=2, s_high=0.95, s_low=0.25, n_points=8)
     assert b.q_upper == pytest.approx(math.exp(-2.56), rel=1e-12)
+
+
+@pytest.mark.parametrize("m, l_bits, n", [(8.5, 1, 1), (8, 1.5, 1), (8, 1, 1.5)], ids=["m", "l_bits", "n_points"])
+def test_bound_non_integer_sizes_rejected(m, l_bits, n):
+    # unchecked, each gave a bound for a filter that cannot exist
+    with pytest.raises(InputError, match="must be an integer"):
+        membership_error_bounds(m, 4, l_bits, 0.75, 0.25, n)
 
 
 def test_bound_boundary_is_vacuous_not_error():
