@@ -86,17 +86,23 @@ def _check_family(family, config):
 
 @dataclass(frozen=True)
 class FlinngConfig:
-    """Grid shape (num_cells x repetitions), hash family spec, and metric."""
+    """Grid shape (num_cells x repetitions), hash family spec, and metric.
+
+    ConfigError at construction for a bad field; num_cells and repetitions are held as ints.
+    """
 
     num_cells: int
     repetitions: int
     hash_spec: lsh.HashFamilySpec
     metric: str
 
-    def validate(self):
-        lsh._validate_spec(self.hash_spec)
-        lsh._count(self.num_cells, "num_cells", 2, error=ConfigError)
-        lsh._count(self.repetitions, "repetitions", high=MAX_REPETITIONS, error=ConfigError)
+    def __post_init__(self):
+        if not isinstance(self.hash_spec, lsh.HashFamilySpec):
+            raise ConfigError(f"hash_spec must be a HashFamilySpec, got {self.hash_spec!r}")
+        # the dataclass is frozen
+        object.__setattr__(self, "num_cells", lsh._count(self.num_cells, "num_cells", 2, error=ConfigError))
+        object.__setattr__(self, "repetitions",
+                           lsh._count(self.repetitions, "repetitions", high=MAX_REPETITIONS, error=ConfigError))
         if self.num_cells * self.repetitions >= 1 << 32:
             raise ConfigError("num_cells * repetitions exceeds the 32-bit cell id width")
         if self.metric not in _METRIC_KIND:
@@ -210,7 +216,6 @@ class FlinngIndex:
     @classmethod
     def build(cls, points, config: FlinngConfig):
         """Hash and partition a homogeneous point list. Deterministic per (points, config)."""
-        config.validate()
         n = len(points)
         if n < 1:
             raise InputError("cannot build an index over zero points")
@@ -229,7 +234,6 @@ class FlinngIndex:
     @classmethod
     def from_codes(cls, codes, config: FlinngConfig, family=None):
         """Assemble the grid and reverse tables from a precomputed (n, m) code matrix."""
-        config.validate()
         _check_family(family, config)
         spec = config.hash_spec
         codes = lsh._code_array(codes, spec.m, spec.l_bits, matrix=True)
@@ -421,10 +425,9 @@ class FlinngIndex:
         if kind_i >= len(_KINDS):
             raise FormatError("corrupt header fields")
         kind = _KINDS[kind_i]
-        spec = lsh.HashFamilySpec(kind=kind, m=m, l_bits=l_bits, seed=seed, dim=dim if kind == lsh.KIND_SRP else None)
-        config = FlinngConfig(num_cells=B, repetitions=R, hash_spec=spec, metric=_KIND_METRIC[kind])
         try:
-            config.validate()
+            spec = lsh.HashFamilySpec(kind, m, l_bits, seed, dim if kind == lsh.KIND_SRP else None)
+            config = FlinngConfig(B, R, spec, _KIND_METRIC[kind])
         except ConfigError as exc:
             raise FormatError(f"corrupt header fields: {exc}") from exc
         if n_points < 1:

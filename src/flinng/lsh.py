@@ -22,7 +22,9 @@ This module also holds the one check of each kind of outside input, which
 the index, the filter and the oracle call too: ``_token_ids`` for token
 sets, ``_numeric`` and ``_finite`` for vectors, ``_code_array`` for codes,
 ``_count`` for integer counts such as k, t, grid and filter sizes, trials and
-spec fields, each in its range.
+spec fields, each in its range. A ``HashFamilySpec`` checks its fields when
+it is constructed (a minhash spec takes no dim), so a spec that exists is
+valid, holds ints, and needs no later check.
 """
 
 from dataclasses import dataclass
@@ -121,13 +123,34 @@ def _code_array(codes, m, l_bits, name="codes", matrix=False):
 
 @dataclass(frozen=True)
 class HashFamilySpec:
-    """Parameters of an LSH family: kind, codes per point (m), bits per code, seed."""
+    """Parameters of an LSH family: kind, codes per point (m), bits per code, seed, and the srp dim.
+
+    ConfigError at construction for a bad field; m, l_bits, seed and dim are held as ints.
+    """
 
     kind: str
     m: int
     l_bits: int
     seed: int
     dim: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in (KIND_MINHASH, KIND_SRP):
+            raise ConfigError(f"unknown hash family kind {self.kind!r}")
+        m = _count(self.m, "m", error=ConfigError)
+        l_bits = _count(self.l_bits, "l_bits", high=MAX_L_BITS, error=ConfigError)
+        seed = _count(self.seed, "seed", 0, _U64_MAX, ConfigError)
+        dim = self.dim
+        if self.kind == KIND_SRP:
+            dim = _count(dim, "srp dim", error=ConfigError)
+            if m * l_bits * dim > MAX_SRP_FLOATS:
+                raise ConfigError(f"srp m * l_bits * dim exceeds {MAX_SRP_FLOATS} direction floats")
+        elif dim is not None:
+            # hashing would ignore it, but the image would store it
+            raise ConfigError(f"a minhash spec takes no dim, got {dim!r}")
+        # the dataclass is frozen
+        for name, value in (("m", m), ("l_bits", l_bits), ("seed", seed), ("dim", dim)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -137,16 +160,6 @@ class HashFamily:
     directions: np.ndarray | None  # (m * l_bits, dim) float64, srp only
 
 
-def _validate_spec(spec):
-    if spec.kind not in (KIND_MINHASH, KIND_SRP):
-        raise ConfigError(f"unknown hash family kind {spec.kind!r}")
-    m = _count(spec.m, "m", error=ConfigError)
-    l_bits = _count(spec.l_bits, "l_bits", high=MAX_L_BITS, error=ConfigError)
-    _count(spec.seed, "seed", 0, _U64_MAX, ConfigError)
-    if spec.kind == KIND_SRP and m * l_bits * _count(spec.dim, "srp dim", error=ConfigError) > MAX_SRP_FLOATS:
-        raise ConfigError(f"srp m * l_bits * dim exceeds {MAX_SRP_FLOATS} direction floats")
-
-
 def build_family(spec: HashFamilySpec) -> HashFamily:
     """Materialize the family deterministically from its spec.
 
@@ -154,7 +167,6 @@ def build_family(spec: HashFamilySpec) -> HashFamily:
     srp: m * l_bits Gaussian directions of length dim (unnormalized; only the
     sign of the projection is used).
     """
-    _validate_spec(spec)
     n_bits = spec.m * spec.l_bits
     if spec.kind == KIND_MINHASH:
         keys = key_stream(derive(spec.seed, TAG_MINHASH_KEYS), n_bits)

@@ -52,7 +52,9 @@ class _TokenPostings:
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
         self.owners = owners[order]
-        self.tokens, starts = np.unique(flat, return_index=True)
+        # the first entry of each run of one token in the sorted array, then the end
+        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        self.tokens = flat[starts]
         self.starts = np.append(starts, flat.size)
         self.n = len(points)
 

@@ -112,26 +112,26 @@ def alpha_bound(m, n_points, gamma) -> float:
     """Shared error-variable bound exp(-m * n_points**(-gamma) / 8)."""
     m = lsh._count(m, "m")
     n_points = lsh._count(n_points, "n_points")
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails it too
         raise InputError(f"gamma must be >= 0, got {gamma}")
     return math.exp(-m * n_points ** (-gamma) / 8.0)
 
 
-def plan_parameters(n_points, delta, gamma, s_k, s_k1, l_cap=DEFAULT_L_CAP) -> ParamPlan:
+def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
     """Solve the full parameter chain for a target failure probability delta.
 
     In order: repetitions from the closed-form ratio (rounded up), q =
     n_points**-1/2, p = 1 - delta / (2 R), num_cells = 2 ceil(sqrt n), l_bits
-    as the smallest integer with s_k**L >= 2 (n/B) s_k1**L, m =
-    ceil(-8 ln(min(q, 1-p)) n**gamma), and the threshold t = m * midpoint of
-    the validity window, with t_int = ceil(t).
+    as the smallest integer L <= DEFAULT_L_CAP with s_k**L >= 2 (n/B)
+    s_k1**L, m = ceil(-8 ln(min(q, 1-p)) n**gamma), and the threshold t = m *
+    midpoint of the validity window, with t_int = ceil(t).
     """
     if n_points < MIN_PLAN_POINTS:
         raise DomainError(f"planner requires n_points >= {MIN_PLAN_POINTS}, got {n_points}")
     n_points = lsh._count(n_points, "n_points")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie strictly in (0, 1), got {delta}")
-    if gamma < 0:
+    if not gamma >= 0:  # NaN fails it too
         raise InputError(f"gamma must be >= 0, got {gamma}")
     gamma_stability(s_k, s_k1)  # validates the similarity pair
 
@@ -150,11 +150,11 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1, l_cap=DEFAULT_L_CAP) -> P
     # smallest L with s_k**L >= 2 * per_cell * s_k1**L, compared in logs: both powers
     # underflow to 0 for small similarities
     target = 2.0 * per_cell
-    l_bits = next((L for L in range(1, l_cap + 1)
+    l_bits = next((L for L in range(1, DEFAULT_L_CAP + 1)
                    if L * (math.log(s_k) - math.log(s_k1)) >= math.log(target)), None)
     if l_bits is None:
         raise InfeasibleParameterError(
-            f"no l_bits <= {l_cap} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
+            f"no l_bits <= {DEFAULT_L_CAP} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
         )
 
     m = max(1, math.ceil(-8.0 * math.log(min(q, 1.0 - p)) * n_points**gamma))

@@ -88,39 +88,50 @@ def test_build_deterministic_byte_identical(token_corpus_50):
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        config(B=1, R=2).validate()
+        config(B=1, R=2)
     with pytest.raises(ConfigError):
-        config(B=4, R=0).validate()
+        config(B=4, R=0)
     with pytest.raises(ConfigError):
-        config(B=4, R=300).validate()
+        config(B=4, R=300)
     with pytest.raises(ConfigError):
-        FlinngConfig(4, 2, HashFamilySpec("minhash", 4, 8, 0), "cosine").validate()
+        FlinngConfig(4, 2, HashFamilySpec("minhash", 4, 8, 0), "cosine")
     with pytest.raises(ConfigError):
-        FlinngConfig(1 << 20, 1 << 13, HashFamilySpec("minhash", 4, 8, 0), "jaccard").validate()
+        FlinngConfig(1 << 20, 1 << 13, HashFamilySpec("minhash", 4, 8, 0), "jaccard")
+    with pytest.raises(ConfigError, match="HashFamilySpec"):
+        FlinngConfig(4, 2, ("minhash", 4, 8, 0), "jaccard")
 
 
 @pytest.mark.parametrize(
-    "B, R, spec",
+    "B, R, fields",
     [
-        (16, 2, HashFamilySpec("minhash", m=8.0, l_bits=8, seed=0)),
-        (16, 2, HashFamilySpec("minhash", m=8, l_bits=8.5, seed=0)),
-        (16, 2, HashFamilySpec("minhash", m=8, l_bits=8, seed=1.5)),
-        (16, 2, HashFamilySpec("srp", m=8, l_bits=8, seed=0, dim=4.0)),
-        (16.5, 2, HashFamilySpec("minhash", m=8, l_bits=8, seed=0)),
-        (16, 2.5, HashFamilySpec("minhash", m=8, l_bits=8, seed=0)),
+        (16, 2, dict(kind="minhash", m=8.0, l_bits=8, seed=0)),
+        (16, 2, dict(kind="minhash", m=8, l_bits=8.5, seed=0)),
+        (16, 2, dict(kind="minhash", m=8, l_bits=8, seed=1.5)),
+        (16, 2, dict(kind="srp", m=8, l_bits=8, seed=0, dim=4.0)),
+        (16.5, 2, dict(kind="minhash", m=8, l_bits=8, seed=0)),
+        (16, 2.5, dict(kind="minhash", m=8, l_bits=8, seed=0)),
     ],
     ids=["m", "l_bits", "seed", "dim", "num_cells", "repetitions"],
 )
-def test_non_integer_config_sizes_rejected(B, R, spec):
+def test_non_integer_config_sizes_rejected(B, R, fields):
     # unchecked, m = 8.0 builds and answers but cannot be saved, and the others raise a bare TypeError
-    metric = "cosine" if spec.kind == "srp" else "jaccard"
+    metric = "cosine" if fields["kind"] == "srp" else "jaccard"
     with pytest.raises(ConfigError, match="must be an integer"):
-        FlinngConfig(B, R, spec, metric).validate()
+        FlinngConfig(B, R, HashFamilySpec(**fields), metric)
 
 
 def test_numpy_integer_config_sizes_accepted():
-    spec = HashFamilySpec("srp", m=np.int64(8), l_bits=np.uint8(8), seed=np.uint64(3), dim=np.int32(4))
-    FlinngConfig(np.int64(16), np.int16(2), spec, "cosine").validate()
+    # held as given, R = uint8(3) times 100 points wrapped to 44 and the build raised numpy's ValueError
+    points = random_token_points(100, 30, seed=5)
+    spec = HashFamilySpec("minhash", m=np.uint8(8), l_bits=np.uint8(8), seed=np.uint64(3))
+    cfg = FlinngConfig(np.uint16(8), np.uint8(3), spec, "jaccard")
+    fields = (cfg.num_cells, cfg.repetitions, spec.m, spec.l_bits, spec.seed)
+    assert [type(v) for v in fields] == [int] * 5
+    as_ints = FlinngConfig(8, 3, HashFamilySpec("minhash", m=8, l_bits=8, seed=3), "jaccard")
+    assert cfg == as_ints
+    assert FlinngIndex.build(points, cfg).to_bytes() == FlinngIndex.build(points, as_ints).to_bytes()
+    # held as given, uint16(300) * uint8(255) wrapped to 10964 cells
+    assert FlinngConfig(np.uint16(300), np.uint8(255), spec, "jaccard").total_cells == 76500
 
 
 @pytest.mark.parametrize("change", [{"seed": 5}, {"l_bits": 10}, {"m": 9}], ids=["seed", "l_bits", "m"])
@@ -597,11 +608,14 @@ def _zero_point_image(idx):
         lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(-1, a[-1] + 1)),
         lambda idx: _header_field(idx, 60, idx.bucket_offsets.size),  # one more non-empty bucket
         lambda idx: _header_field(idx, 60, idx.bucket_offsets.size - 2),
+        lambda idx: _header_field(idx, 24, 25),  # l_bits = 25
+        lambda idx: _header_field(idx, 20, 0),  # m = 0
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
          "version-1", "version-2", "version-3", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
          "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
-         "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low"],
+         "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low",
+         "l_bits-25", "zero-m"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50

@@ -36,18 +36,30 @@ def test_build_family_srp_seed_changes_directions():
 @pytest.mark.parametrize(
     "spec",
     [
-        lsh.HashFamilySpec("minhash", m=0, l_bits=8, seed=1),
-        lsh.HashFamilySpec("minhash", m=4, l_bits=0, seed=1),
-        lsh.HashFamilySpec("minhash", m=4, l_bits=25, seed=1),
-        lsh.HashFamilySpec("srp", m=2, l_bits=12, seed=1),
-        lsh.HashFamilySpec("srp", m=2, l_bits=12, seed=1, dim=0),
-        lsh.HashFamilySpec("mystery", m=2, l_bits=12, seed=1),
-        lsh.HashFamilySpec("srp", m=2, l_bits=2, seed=1, dim=lsh.MAX_SRP_FLOATS // 4 + 1),
+        dict(kind="minhash", m=0, l_bits=8, seed=1),
+        dict(kind="minhash", m=4, l_bits=0, seed=1),
+        dict(kind="minhash", m=4, l_bits=25, seed=1),
+        dict(kind="srp", m=2, l_bits=12, seed=1),
+        dict(kind="srp", m=2, l_bits=12, seed=1, dim=0),
+        dict(kind="mystery", m=2, l_bits=12, seed=1),
+        dict(kind="srp", m=2, l_bits=2, seed=1, dim=lsh.MAX_SRP_FLOATS // 4 + 1),
+        # hashing would ignore the dim, but the image would store it
+        dict(kind="minhash", m=4, l_bits=8, seed=1, dim=5),
     ],
 )
 def test_invalid_specs_rejected(spec):
     with pytest.raises(ConfigError):
-        lsh.build_family(spec)
+        lsh.HashFamilySpec(**spec)
+
+
+def test_spec_holds_python_ints():
+    # numpy fields were kept as given: m = np.uint8(32) times l_bits = np.uint8(16) wrapped to 0 keys
+    spec = lsh.HashFamilySpec("minhash", m=np.uint8(32), l_bits=np.uint8(16), seed=np.uint64(7))
+    assert [type(v) for v in (spec.m, spec.l_bits, spec.seed)] == [int, int, int]
+    assert spec == lsh.HashFamilySpec("minhash", m=32, l_bits=16, seed=7)
+    assert lsh.build_family(spec).keys.size == 32 * 16
+    srp = lsh.HashFamilySpec("srp", m=np.int16(2), l_bits=np.uint8(4), seed=0, dim=np.int32(3))
+    assert type(srp.dim) is int and srp.dim == 3
 
 
 def test_hash_set_equal_inputs_collide():

@@ -113,6 +113,8 @@ def test_alpha_domain():
         theory.alpha_bound(2.5, 100, 0.1)
     with pytest.raises(InputError, match="n_points must be an integer"):
         theory.alpha_bound(3, 100.5, 0.1)
+    with pytest.raises(InputError, match="gamma must be >= 0"):
+        theory.alpha_bound(8, 100, math.nan)
 
 
 # -- planner ---------------------------------------------------------------------
@@ -170,6 +172,8 @@ def test_plan_domain_errors():
         theory.plan_parameters(10_000, 0.05, 0.25, 0.5, 0.5)
     with pytest.raises(InputError, match="n_points must be an integer"):
         theory.plan_parameters(10_000.5, 0.05, 0.25, 0.5, 0.125)
+    with pytest.raises(InputError, match="gamma must be >= 0"):
+        theory.plan_parameters(10_000, 0.05, math.nan, 0.5, 0.125)
 
 
 def test_plan_infeasible_l_bits():
