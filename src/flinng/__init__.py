@@ -16,7 +16,7 @@ from .errors import (
     InfeasibleParameterError,
     InputError,
 )
-from .index import FlinngConfig, FlinngIndex, QueryScratch
+from .index import FlinngConfig, FlinngIndex
 from .lsh import (
     HashFamily,
     HashFamilySpec,
@@ -57,7 +57,6 @@ __all__ = [
     "InfeasibleParameterError",
     "InputError",
     "ParamPlan",
-    "QueryScratch",
     "alpha_bound",
     "build_family",
     "estimate_collision",

@@ -31,8 +31,6 @@ EXIT_CODES = (
 
 
 def _require_file(path, flag):
-    if path is None:
-        raise ConfigError(f"missing required flag {flag}")
     if not os.path.exists(path):
         raise InputError(f"{flag}: no such file: {path}")
     return path
@@ -67,8 +65,6 @@ def _build_index(points, args, B, R, m):
 
 def cmd_build(args):
     points = _load_dataset(args.dataset, args.metric, "--dataset")
-    if args.index is None:
-        raise ConfigError("missing required flag --index")
     index, seconds = _build_index(points, args, args.B, args.R, args.m)
     index.save(args.index)
     print(f"n_points={index.n_points}")
@@ -110,8 +106,6 @@ def cmd_inspect(args):
 def cmd_query(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
     queries = _load_queries(args.queries, index.config.metric, "--queries")
-    if args.t is None:
-        raise ConfigError("missing required flag --t")
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
             ids = index.query_threshold(q, args.t)
@@ -138,11 +132,7 @@ def cmd_topk(args):
 def cmd_groundtruth(args):
     points = _load_dataset(args.dataset, args.metric, "--dataset")
     queries = _load_queries(args.queries, args.metric, "--queries")
-    if queries:
-        rows = oracle.exact_topk_batch(points, queries, args.k, args.metric)
-        oracle.write_ground_truth(args.out, rows)
-    else:
-        open(args.out, "w").close()
+    oracle.write_ground_truth(args.out, oracle.exact_topk_batch(points, queries, args.k, args.metric))
     return 0
 
 
@@ -254,8 +244,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("build", help="build an index file from a dataset")
-    p.add_argument("--dataset")
-    p.add_argument("--index")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--index", required=True)
     p.add_argument("--B", type=int, default=256, help="cells per repetition")
     p.add_argument("--R", type=int, default=3, help="repetitions")
     common_hash(p)
@@ -266,23 +256,23 @@ def build_parser():
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("query", help="threshold query: ids passing count >= t everywhere")
-    p.add_argument("--index")
-    p.add_argument("--queries")
+    p.add_argument("--index", required=True)
+    p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--t", type=int)
+    p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("topk", help="top-k query via threshold relaxation")
-    p.add_argument("--index")
-    p.add_argument("--queries")
+    p.add_argument("--index", required=True)
+    p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--latency", action="store_true", help="append a per-query latency column (ns)")
     p.set_defaults(func=cmd_topk)
 
     p = sub.add_parser("groundtruth", help="exact top-k by brute force")
-    p.add_argument("--dataset")
-    p.add_argument("--queries")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--queries", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--metric", choices=["jaccard", "cosine"], default="jaccard")
@@ -309,9 +299,9 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="sweep configurations, emit a recall/latency CSV")
-    p.add_argument("--dataset")
-    p.add_argument("--queries")
-    p.add_argument("--truth")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--queries", required=True)
+    p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--B", type=int, action="append", required=True, help="repeatable")
     p.add_argument("--R", type=int, action="append", required=True, help="repeatable")

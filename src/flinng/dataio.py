@@ -14,8 +14,6 @@ import numpy as np
 from . import lsh, oracle
 from .errors import ConfigError, FormatError, InputError
 
-_U64_MAX = 0xFFFFFFFFFFFFFFFF
-
 
 def load_tokens(path):
     """Parse a token file into a list of sorted duplicate-free uint64 arrays."""
@@ -42,7 +40,7 @@ def load_tokens(path):
                 raise InputError(f"{path}:{lineno}: column {col}: {tok!r} is not an integer") from exc
             if value < 0:
                 raise InputError(f"{path}:{lineno}: column {col}: negative token {value}")
-            if value > _U64_MAX:
+            if value > lsh._U64_MAX:
                 raise InputError(f"{path}:{lineno}: column {col}: token {value} overflows 64 bits")
             toks.append(value)
         points.append(np.unique(np.asarray(toks, dtype=np.uint64)))

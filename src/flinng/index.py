@@ -124,7 +124,7 @@ class FlinngConfig:
 
 
 class QueryScratch:
-    """Accepted by every query method for compatibility; every query ignores it."""
+    """Accepted by query_topk, query_topk_codes and cell_counts for compatibility; they ignore it."""
 
     def __init__(self, index):
         pass
@@ -345,11 +345,11 @@ class FlinngIndex:
         """Per-cell collision counts in [0, m] for one query's codes."""
         return self._gather(self._checked(query_codes))
 
-    def query_threshold(self, query, t, scratch=None):
+    def query_threshold(self, query, t):
         """Ids passing the count threshold in every repetition (ascending order)."""
         return self._threshold(self.hash_query(query), t)
 
-    def query_threshold_codes(self, query_codes, t, scratch=None):
+    def query_threshold_codes(self, query_codes, t):
         return self._threshold(self._checked(query_codes), t)
 
     def _threshold(self, codes, t):
@@ -360,13 +360,9 @@ class FlinngIndex:
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
-        return self._topk(self.hash_query(query), k)[0]
+        return self._topk(self.hash_query(query), k)
 
     def query_topk_codes(self, query_codes, k, scratch=None):
-        return self.query_topk_codes_trace(query_codes, k)[0]
-
-    def query_topk_codes_trace(self, query_codes, k, scratch=None):
-        """Top-k ids plus, per emission, the collision count of the emitting cell."""
         return self._topk(self._checked(query_codes), k)
 
     def _members(self, cells):
@@ -387,7 +383,7 @@ class FlinngIndex:
         # emission order is (last cell reached, id): ids ascend within a cell
         key = last[keep] * self.n_points + cand[keep]
         key = np.sort(np.partition(key, k - 1)[:k] if key.size > k else key)
-        return key % self.n_points, counts[order[key // self.n_points]]
+        return key % self.n_points
 
     # -- serialization ------------------------------------------------------
 
@@ -430,6 +426,10 @@ class FlinngIndex:
             config = FlinngConfig(B, R, spec, _KIND_METRIC[kind])
         except ConfigError as exc:
             raise FormatError(f"corrupt header fields: {exc}") from exc
+        # the reserved bytes, and a minhash image's dim, are zeros: one index has one image
+        if _HEADER.pack(MAGIC, VERSION, kind_i, B, R, m, l_bits, seed, spec.dim or 0, n_points, payload_len,
+                        nonempty) != bytes(buf[: _HEADER.size]):
+            raise FormatError("nonzero reserved header bytes, or a dim in a minhash header")
         if n_points < 1:
             raise FormatError("the header holds zero points")
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:

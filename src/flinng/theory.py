@@ -21,7 +21,6 @@ from .errors import (
 )
 
 MIN_PLAN_POINTS = 150
-DEFAULT_L_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,11 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
 
     In order: repetitions from the closed-form ratio (rounded up), q =
     n_points**-1/2, p = 1 - delta / (2 R), num_cells = 2 ceil(sqrt n), l_bits
-    as the smallest integer L <= DEFAULT_L_CAP with s_k**L >= 2 (n/B)
-    s_k1**L, m = ceil(-8 ln(min(q, 1-p)) n**gamma), and the threshold t = m *
-    midpoint of the validity window, with t_int = ceil(t).
+    as the smallest integer L with s_k**L >= 2 (n/B) s_k1**L, m = ceil(-8
+    ln(min(q, 1-p)) n**gamma), and the threshold t = m * midpoint of the
+    validity window, with t_int = ceil(t). L is capped at lsh.MAX_L_BITS
+    (24), the widest code a hash family takes: InfeasibleParameterError when
+    no L up to it separates s_k from s_k1.
     """
     if n_points < MIN_PLAN_POINTS:
         raise DomainError(f"planner requires n_points >= {MIN_PLAN_POINTS}, got {n_points}")
@@ -150,11 +151,11 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
     # smallest L with s_k**L >= 2 * per_cell * s_k1**L, compared in logs: both powers
     # underflow to 0 for small similarities
     target = 2.0 * per_cell
-    l_bits = next((L for L in range(1, DEFAULT_L_CAP + 1)
+    l_bits = next((L for L in range(1, lsh.MAX_L_BITS + 1)
                    if L * (math.log(s_k) - math.log(s_k1)) >= math.log(target)), None)
     if l_bits is None:
         raise InfeasibleParameterError(
-            f"no l_bits <= {DEFAULT_L_CAP} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
+            f"no l_bits <= {lsh.MAX_L_BITS} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
         )
 
     m = max(1, math.ceil(-8.0 * math.log(min(q, 1.0 - p)) * n_points**gamma))

@@ -152,6 +152,14 @@ def test_query_threshold_subcommand(six, tmp_path):
         assert qi in [int(x) for x in line.split()]
 
 
+def test_groundtruth_empty_query_file(six, tmp_path):
+    empty = tmp_path / "none.txt"
+    empty.write_text("")
+    out = tmp_path / "truth.txt"
+    assert run("groundtruth", "--dataset", six, "--queries", empty, "--out", out) == 0
+    assert out.read_text() == ""
+
+
 def test_groundtruth_six_by_six(six, tmp_path):
     out = tmp_path / "truth.txt"
     assert run("groundtruth", "--dataset", six, "--queries", six, "--out", out, "--k", 6) == 0
@@ -191,6 +199,12 @@ def test_plan_domain_errors_exit_five(capsys):
     assert run("plan", "--n", 100, "--delta", 0.05, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.125) == 5
     assert run("plan", "--n", 10000, "--delta", 1.5, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.125) == 5
     capsys.readouterr()
+
+
+def test_plan_past_widest_code_exits_five(capsys):
+    # separating 0.5 from 0.45 at n = 10000 takes l_bits = 44; a hash family takes at most 24
+    assert run("plan", "--n", 10000, "--delta", 0.05, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.45) == 5
+    assert "no l_bits <= 24" in capsys.readouterr().err
 
 
 def test_simulate_noiseless(capsys):
@@ -302,3 +316,20 @@ def test_usage_error_exits_two(capsys):
         main(["build", "--no-such-flag"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["build", "--dataset", "six.txt"], "--index"),
+        (["query", "--index", "six.flinng", "--queries", "six.txt", "--out", "res.txt"], "--t"),
+        (["bench", "--dataset", "six.txt", "--queries", "six.txt", "--out", "b.csv", "--B", "3", "--R", "2",
+          "--m", "8"], "--truth"),
+    ],
+    ids=["build-index", "query-t", "bench-truth"],
+)
+def test_missing_required_flag_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err

@@ -339,7 +339,8 @@ def test_topk_emission_prefix_equals_threshold_decode():
         codes = rng.integers(0, 8, (n, m)).astype(np.uint32)
         idx = codes_index(codes, B=B, R=R, m=m, l_bits=3, seed=int(rng.integers(1000)))
         q = rng.integers(0, 8, m).astype(np.uint32)
-        ids, at_counts = idx.query_topk_codes_trace(q, k=n)
+        ids = idx.query_topk_codes(q, k=n)
+        at_counts = idx.cell_counts(q)[idx.point_cells[:, ids]].min(0)  # an id's count where it is emitted
         for t in range(1, m + 1):
             prefix = set(ids[at_counts >= t].tolist())
             assert prefix == set(idx.query_threshold_codes(q, t).tolist())
@@ -389,7 +390,7 @@ def test_scratch_reuse_and_clean(token_corpus_50):
 
     def answers(scratch):
         return ([idx.query_topk(p, 5, scratch).tolist() for p in points[:5]],
-                [idx.query_threshold(p, t, scratch).tolist() for p in points[:5]],
+                [idx.query_threshold(p, t).tolist() for p in points[:5]],
                 [idx.cell_counts(idx.hash_query(p), scratch).tolist() for p in points[:5]])
 
     fresh = answers(None)
@@ -405,7 +406,7 @@ def test_threads_sharing_a_scratch_answer_as_serial(token_corpus_50):
     scratch = QueryScratch(idx)
 
     def answer(p):
-        return idx.query_topk(p, 5, scratch).tolist(), idx.query_threshold(p, t, scratch).tolist()
+        return idx.query_topk(p, 5, scratch).tolist(), idx.query_threshold(p, t).tolist()
 
     serial = [answer(p) for p in points]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -610,12 +611,19 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 60, idx.bucket_offsets.size - 2),
         lambda idx: _header_field(idx, 24, 25),  # l_bits = 25
         lambda idx: _header_field(idx, 20, 0),  # m = 0
+        # reserved bytes and a minhash image's dim: each one set would give one index a second image
+        lambda idx: _header_field(idx, 9, 1, size=1),
+        lambda idx: _header_field(idx, 11, 1, size=1),
+        lambda idx: _header_field(idx, 36, 5),
+        lambda idx: _header_field(idx, 40, 1, size=1),
+        lambda idx: _header_field(idx, 43, 1, size=1),
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
          "version-1", "version-2", "version-3", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
          "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
          "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low",
-         "l_bits-25", "zero-m"],
+         "l_bits-25", "zero-m", "reserved-byte-9", "reserved-byte-11", "minhash-dim", "reserved-byte-40",
+         "reserved-byte-43"],
 )
 def test_corrupt_image_rejected(token_corpus_50, corrupt):
     _, idx = token_corpus_50

@@ -156,9 +156,10 @@ def test_plan_l_bits_is_smallest_feasible():
 
 
 def test_plan_l_bits_with_underflowing_similarities():
-    # 1e-10**33 and 0.9e-10**33 both underflow to 0, which a linear comparison takes as met
-    plan = theory.plan_parameters(10_000, 0.05, 0.25, 1e-10, 0.9e-10)
-    assert plan.l_bits == math.ceil(math.log(100) / math.log(1 / 0.9)) == 44
+    # 1e-30**11 and 0.7e-30**11 both underflow to 0, which a linear comparison takes as met
+    assert (1e-30) ** 11 == (0.7e-30) ** 11 == 0.0
+    plan = theory.plan_parameters(10_000, 0.05, 0.25, 1e-30, 0.7e-30)
+    assert plan.l_bits == math.ceil(math.log(100) / math.log(1 / 0.7)) == 13
 
 
 def test_plan_domain_errors():
@@ -180,6 +181,9 @@ def test_plan_infeasible_l_bits():
     # ratio barely above 1 forces an astronomically deep concatenation
     with pytest.raises(InfeasibleParameterError):
         theory.plan_parameters(10_000, 0.05, 0.25, 0.500001, 0.5)
+    # needs L = 44, past the widest code a hash family takes
+    with pytest.raises(InfeasibleParameterError, match="no l_bits <= 24"):
+        theory.plan_parameters(10_000, 0.05, 0.25, 0.5, 0.45)
 
 
 # -- simulator --------------------------------------------------------------------
