@@ -43,15 +43,9 @@ def _load_dataset(path, metric, flag):
     return dataio.load_dense(path)
 
 
-def _load_queries(path, metric, flag):
-    """Like _load_dataset but an empty file means an empty query list."""
-    _require_file(path, flag)
-    if os.path.getsize(path) == 0:
-        return []
-    return _load_dataset(path, metric, flag)
-
-
 def _build_index(points, args, B, R, m):
+    if len(points) == 0:
+        raise InputError("--dataset holds no points; an index needs at least one")
     dim = None if args.metric == "jaccard" else int(np.asarray(points).shape[1])
     spec = HashFamilySpec(
         kind="minhash" if args.metric == "jaccard" else "srp",
@@ -105,7 +99,7 @@ def cmd_inspect(args):
 
 def cmd_query(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
-    queries = _load_queries(args.queries, index.config.metric, "--queries")
+    queries = _load_dataset(args.queries, index.config.metric, "--queries")
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
             ids = index.query_threshold(q, args.t)
@@ -116,7 +110,7 @@ def cmd_query(args):
 
 def cmd_topk(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
-    queries = _load_queries(args.queries, index.config.metric, "--queries")
+    queries = _load_dataset(args.queries, index.config.metric, "--queries")
     with open(args.out, "w", encoding="utf-8") as fh:
         for q in queries:
             start = time.perf_counter_ns()
@@ -131,7 +125,7 @@ def cmd_topk(args):
 
 def cmd_groundtruth(args):
     points = _load_dataset(args.dataset, args.metric, "--dataset")
-    queries = _load_queries(args.queries, args.metric, "--queries")
+    queries = _load_dataset(args.queries, args.metric, "--queries")
     oracle.write_ground_truth(args.out, oracle.exact_topk_batch(points, queries, args.k, args.metric))
     return 0
 
@@ -191,7 +185,9 @@ BENCH_COLUMNS = [
 
 def cmd_bench(args):
     points = _load_dataset(args.dataset, args.metric, "--dataset")
-    queries = _load_queries(args.queries, args.metric, "--queries")
+    queries = _load_dataset(args.queries, args.metric, "--queries")
+    if len(queries) == 0:
+        raise InputError("--queries holds no queries; bench needs at least one")
     truth = oracle.read_ground_truth(_require_file(args.truth, "--truth"))
     if len(truth) != len(queries):
         raise InputError(f"--truth has {len(truth)} rows but --queries has {len(queries)}")

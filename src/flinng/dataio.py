@@ -44,8 +44,6 @@ def load_tokens(path):
                 raise InputError(f"{path}:{lineno}: column {col}: token {value} overflows 64 bits")
             toks.append(value)
         points.append(np.unique(np.asarray(toks, dtype=np.uint64)))
-    if not points:
-        raise InputError(f"{path}: empty token file")
     return points
 
 
@@ -69,6 +67,8 @@ def _dense_record(dim):
 def load_dense(path):
     """Parse a dense binary file into a (n, dim) float32 view of its vectors in one writable buffer."""
     data = np.fromfile(path, np.uint8)
+    if data.size == 0:
+        return np.empty((0, 0), np.float32)  # zero records carry no dim
     if data.size < 4:
         raise FormatError(f"{path}: record 0: truncated before the dimension field")
     dim = int(data[:4].view("<i4")[0])

@@ -14,6 +14,7 @@ from . import lsh
 from .errors import InputError
 
 GT_SEP = ":"
+_ID_MAX = (1 << 63) - 1  # ground-truth ids read back as int64
 
 
 def jaccard(x, y) -> float:
@@ -99,12 +100,16 @@ def exact_topk_batch(points, queries, k, metric):
         return [_select_topk(postings.similarities(q), k) for q in queries]
     if metric == "cosine":
         mat = lsh._finite(lsh._numeric(points))
+        if mat.ndim != 2:
+            raise InputError(f"a cosine corpus must be a 2-d matrix, got shape {mat.shape}")
         norms = np.linalg.norm(mat, axis=1)
         if (norms == 0).any():
             raise InputError("corpus contains a zero vector")
         rows = []
-        for q in queries:
+        for i, q in enumerate(queries):
             q = lsh._finite(lsh._numeric(q))
+            if q.shape != mat.shape[1:]:
+                raise InputError(f"query {i}: shape {q.shape} does not match the corpus dim {mat.shape[1]}")
             nq = np.linalg.norm(q)
             if nq == 0.0:
                 raise InputError("query is a zero vector")
@@ -149,10 +154,25 @@ def evaluate(results, truth, k_list) -> EvalReport:
 
 
 def write_ground_truth(path, rows):
-    """One line per query: space-separated id:similarity pairs."""
+    """One line per query: space-separated id:similarity pairs.
+
+    InputError, before the file is opened, for a row read_ground_truth would
+    reject: ids that are not integers in [0, 2**63), similarities that are not
+    numbers, or no pair, or not one similarity per id.
+    """
+    checked = []
+    for i, (ids, sims) in enumerate(rows):
+        ids = lsh._token_ids(ids, f"row {i}: ids")
+        sims = lsh._as_array(sims, f"row {i}: similarities")
+        if ids.size == 0 or sims.shape != ids.shape or sims.dtype.kind not in "iuf":
+            raise InputError(f"row {i}: needs at least one id and one numeric similarity per id, "
+                             f"got {ids.size} ids and {sims.dtype} similarities of shape {sims.shape}")
+        if ids.max() > _ID_MAX:
+            raise InputError(f"row {i}: ids must lie in [0, 2**63), got {ids.max()}")
+        checked.append((ids.tolist(), sims.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        for ids, sims in rows:
-            fh.write(" ".join(f"{int(i)}{GT_SEP}{float(s):.17g}" for i, s in zip(ids, sims)))
+        for ids, sims in checked:
+            fh.write(" ".join(f"{i}{GT_SEP}{float(s):.17g}" for i, s in zip(ids, sims)))
             fh.write("\n")
 
 
@@ -168,11 +188,9 @@ def read_ground_truth(path):
             for field_i, part in enumerate(line.split(), 1):
                 try:
                     id_s, sim_s = part.split(GT_SEP, 1)
-                    ids.append(int(id_s))
+                    ids.append(lsh._count(int(id_s), "id", 0, _ID_MAX, ValueError))
                     sims.append(float(sim_s))
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: field {field_i}: {part!r}") from exc
             rows.append((np.asarray(ids, dtype=np.int64), np.asarray(sims, dtype=np.float64)))
-    if not rows:
-        raise InputError(f"{path}: empty ground-truth file")
     return rows

@@ -103,6 +103,16 @@ def test_build_missing_dataset_names_flag(tmp_path, capsys):
     assert "--dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("metric, name", [("jaccard", "none.txt"), ("cosine", "none.dense")])
+def test_build_on_empty_dataset_names_flag(tmp_path, capsys, metric, name):
+    # an empty dense file used to exit 4, and once it loaded, 2 from a dim-0 hash spec
+    data = tmp_path / name
+    data.write_bytes(b"")
+    assert run("build", "--dataset", data, "--index", tmp_path / "x.flinng", "--metric", metric) == 3
+    assert "--dataset holds no points" in capsys.readouterr().err
+    assert not (tmp_path / "x.flinng").exists()
+
+
 def test_topk_roundtrip_unique_matches(tmp_path):
     # fixture verified to give every point a unique full-count match:
     # B=10, R=3, seed=0 leaves no point sharing its whole cell triple
@@ -158,6 +168,50 @@ def test_groundtruth_empty_query_file(six, tmp_path):
     out = tmp_path / "truth.txt"
     assert run("groundtruth", "--dataset", six, "--queries", empty, "--out", out) == 0
     assert out.read_text() == ""
+
+
+def test_query_empty_query_file(six, tmp_path):
+    index = tmp_path / "six.flinng"
+    run("build", "--dataset", six, "--index", index, "--B", 3, "--R", 2)
+    empty = tmp_path / "none.txt"
+    empty.write_text("")
+    out = tmp_path / "res.txt"
+    assert run("query", "--index", index, "--queries", empty, "--out", out, "--t", 1) == 0
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "points, queries, message",
+    [(np.empty((0, 3)), np.eye(3), "empty corpus"), (np.eye(3), np.eye(4), "query 0: shape (4,)")],
+    ids=["empty-dataset", "dim-mismatch"],
+)
+def test_groundtruth_bad_dense_input_exits_three(tmp_path, capsys, points, queries, message):
+    # unchecked, an empty dense file exited 4 and a dim mismatch raised a bare ValueError (exit 1)
+    data = tmp_path / "pts.dense"
+    dataio.save_dense(data, points)
+    qfile = tmp_path / "q.dense"
+    dataio.save_dense(qfile, queries)
+    out = tmp_path / "truth.txt"
+    assert run("groundtruth", "--dataset", data, "--queries", qfile, "--out", out, "--metric", "cosine") == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_on_empty_query_file_builds_nothing(six, tmp_path, capsys, monkeypatch):
+    # groundtruth writes an empty truth file for no queries; bench used to refuse that file and not the queries
+    empty = tmp_path / "none.txt"
+    empty.write_text("")
+    truth = tmp_path / "truth.txt"
+    assert run("groundtruth", "--dataset", six, "--queries", empty, "--out", truth) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("index built")
+    monkeypatch.setattr(FlinngIndex, "build", refuse)
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--dataset", six, "--queries", empty, "--truth", truth, "--out", out,
+               "--B", 3, "--R", 2, "--m", 8) == 3
+    assert "--queries holds no queries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_groundtruth_six_by_six(six, tmp_path):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from flinng import dataio, oracle
+from flinng import dataio, lsh, oracle
 from flinng.errors import ConfigError, FlinngError, FormatError, InputError
 
 
@@ -40,7 +41,6 @@ def test_load_tokens_roundtrip_large(tmp_path):
         ("1 -4\n", "negative"),
         (f"{2**64}\n", "overflows"),
         ("1 apple\n", "column 2"),
-        ("", "empty"),
         (b"1 2\n\xff\n", ":2:"),  # invalid UTF-8, numbered
     ],
 )
@@ -49,6 +49,12 @@ def test_load_tokens_positioned_errors(tmp_path, content, fragment):
     f.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(InputError, match=fragment):
         dataio.load_tokens(f)
+
+
+def test_load_tokens_empty_file_is_zero_points(tmp_path):
+    f = tmp_path / "none.txt"
+    f.write_bytes(b"")
+    assert dataio.load_tokens(f) == []
 
 
 @pytest.mark.parametrize(
@@ -136,9 +142,10 @@ def test_dense_file_bytes_are_the_documented_records(tmp_path):
         (struct.pack("<i2f", 2, 1.0, 2.0) + b"\x02\x00", "record 1: truncated"),
         (struct.pack("<i2f", 2, 1.0, 2.0) + struct.pack("<i2f", -2, 1.0, 2.0), "record 1: dimension -2 != 2"),
         (struct.pack("<ii", 2**31 - 1, 0), "record 0: truncated"),
+        (b"\x02\x00", "record 0: truncated before the dimension field"),
     ],
     ids=["dim-mismatch", "truncated-payload", "non-finite", "earliest-bad-record", "short-tail", "negative-dim",
-         "huge-header-dim"],
+         "huge-header-dim", "short-dimension-field"],
 )
 def test_dense_first_bad_record_named(tmp_path, blob, message):
     f = tmp_path / "bad.dense"
@@ -161,6 +168,40 @@ def test_dense_parser_is_total(tmp_path_factory, data):
         dataio.load_dense(f)
     except FlinngError:
         pass
+
+
+# -- every file a writer accepts reads back ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), max_size=6))
+def test_token_files_round_trip(tmp_path_factory, points):
+    f = tmp_path_factory.mktemp("tokens") / "pts.txt"
+    dataio.save_tokens(f, points)
+    back = dataio.load_tokens(f)
+    want = [lsh.token_set(p) for p in points]
+    assert len(back) == len(want)
+    assert all(a.dtype == np.uint64 and np.array_equal(a, b) for a, b in zip(back, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+def test_dense_files_round_trip_bit_for_bit(tmp_path_factory, mat):
+    f = tmp_path_factory.mktemp("dense") / "mat.dense"
+    dataio.save_dense(f, mat)
+    back = dataio.load_dense(f)
+    assert back.dtype == np.float32 and back.shape == mat.shape
+    assert np.array_equal(back.view(np.uint32), mat.view(np.uint32))
+
+
+@pytest.mark.parametrize("dim", [0, 1, 5])
+def test_zero_row_dense_file_reads_back_without_its_dim(tmp_path, dim):
+    f = tmp_path / "none.dense"
+    dataio.save_dense(f, np.empty((0, dim), np.float32))
+    assert f.read_bytes() == b""
+    mat = dataio.load_dense(f)
+    assert mat.shape == (0, 0) and mat.dtype == np.float32 and mat.flags.writeable
 
 
 # -- synthetic fixtures --------------------------------------------------------

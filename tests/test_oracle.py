@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flinng import oracle
 from flinng.errors import InputError
@@ -171,6 +172,21 @@ def test_exact_topk_on_empty_corpus_rejected(metric):
         oracle.exact_topk_batch([], [query], 1, metric)
 
 
+@pytest.mark.parametrize(
+    "points, query, message",
+    [
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "2-d matrix"),
+        (np.eye(3), [1.0, 2.0, 3.0, 4.0], "query 0: shape"),
+        (np.eye(3), np.ones((3, 2)), "query 0: shape"),
+    ],
+    ids=["1-d-corpus", "longer-query", "2-d-query"],
+)
+def test_cosine_topk_checks_shapes(points, query, message):
+    # unchecked, these raised numpy's AxisError, a bare ValueError from the product, and a broadcast error
+    with pytest.raises(InputError, match=message):
+        oracle.exact_topk_batch(points, [query], 1, "cosine")
+
+
 def test_evaluate_misaligned_raises():
     with pytest.raises(InputError):
         oracle.evaluate([[1]], [], [1])
@@ -217,3 +233,51 @@ def test_ground_truth_rejects_garbage(tmp_path):
     bad.write_text("3:0.5 nonsense\n")
     with pytest.raises(InputError, match="field 2"):
         oracle.read_ground_truth(bad)
+
+
+def test_ground_truth_empty_file_is_zero_rows(tmp_path):
+    path = tmp_path / "truth.txt"
+    oracle.write_ground_truth(path, [])
+    assert path.read_bytes() == b""
+    assert oracle.read_ground_truth(path) == []
+
+
+@pytest.mark.parametrize(
+    "row",
+    [([2.7], [0.5]), ([1, 2], [0.5]), ([], []), ([-1], [0.5]), ([2**63], [0.5]), ([1], ["0.5"]), ([1], [[0.5]])],
+    ids=["float-id", "unequal-lengths", "no-pair", "negative-id", "past-int64", "string-similarity",
+         "2-d-similarities"],
+)
+def test_write_ground_truth_refuses_rows_that_would_not_read_back(tmp_path, row):
+    # unchecked, 2.7 was written as 2, zip dropped id 2, and a row without a pair was a blank line
+    path = tmp_path / "truth.txt"
+    with pytest.raises(InputError, match="row 1"):
+        oracle.write_ground_truth(path, [([0], [1.0]), row])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", ["-1:0.5\n", f"{2**63}:0.5\n"], ids=["negative-id", "past-int64"])
+def test_read_ground_truth_rejects_ids_out_of_range(tmp_path, text):
+    # unchecked, -1 was read as an id and 2**63 raised OverflowError
+    path = tmp_path / "truth.txt"
+    path.write_text(text)
+    with pytest.raises(InputError, match=":1: field 1"):
+        oracle.read_ground_truth(path)
+
+
+_truth_row = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)),
+    hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False)),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_truth_row, max_size=5))
+def test_ground_truth_files_round_trip(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("truth") / "truth.txt"
+    oracle.write_ground_truth(path, rows)
+    back = oracle.read_ground_truth(path)
+    assert len(back) == len(rows)
+    for (ids_a, sims_a), (ids_b, sims_b) in zip(rows, back):
+        assert np.array_equal(ids_a, ids_b)
+        assert np.array_equal(sims_a.view(np.uint64), sims_b.view(np.uint64))  # 17 significant digits, -0.0 kept

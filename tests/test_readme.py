@@ -1,4 +1,5 @@
 import re
+import shlex
 from pathlib import Path
 
 from flinng import cli, index
@@ -25,3 +26,13 @@ def test_readme_index_table_matches_the_format():
 def test_readme_exit_code_table_matches_the_cli():
     codes = [int(code) for code, _ in _table_after("Exit codes are stable per error class")]
     assert codes == [0, *(code for _, code in cli.EXIT_CODES), 1]
+
+
+def test_readme_commands_parse():
+    # parsed, not run: a renamed or removed flag fails here instead of leaving the README stale
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("flinng ")]
+    assert commands
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
