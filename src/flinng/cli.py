@@ -97,29 +97,33 @@ def cmd_inspect(args):
     return 0
 
 
+def _write_lines(path, lines):
+    """Write one line per query; called once every query is answered, so a failed run leaves path as it was."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _ids_line(ids):
+    return " ".join(map(str, ids.tolist()))
+
+
 def cmd_query(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
     queries = _load_dataset(args.queries, index.config.metric, "--queries")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for q in queries:
-            ids = index.query_threshold(q, args.t)
-            fh.write(" ".join(str(int(i)) for i in ids))
-            fh.write("\n")
+    _write_lines(args.out, [_ids_line(index.query_threshold(q, args.t)) for q in queries])
     return 0
 
 
 def cmd_topk(args):
     index = FlinngIndex.load(_require_file(args.index, "--index"))
     queries = _load_dataset(args.queries, index.config.metric, "--queries")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for q in queries:
-            start = time.perf_counter_ns()
-            ids = index.query_topk(q, args.k)
-            elapsed = time.perf_counter_ns() - start
-            fh.write(" ".join(str(int(i)) for i in ids))
-            if args.latency:
-                fh.write(f"\t{elapsed}")
-            fh.write("\n")
+    lines = []
+    for q in queries:
+        start = time.perf_counter_ns()
+        ids = index.query_topk(q, args.k)
+        elapsed = time.perf_counter_ns() - start
+        lines.append(f"{_ids_line(ids)}\t{elapsed}" if args.latency else _ids_line(ids))
+    _write_lines(args.out, lines)
     return 0
 
 

@@ -47,6 +47,8 @@ _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
 MAX_REPETITIONS = 255
 # offsets are uint32: R * n_points and the reverse-table payload length stay below this
 OFFSET_LIMIT = 1 << 32
+# top-k keys are int64 and reach (B * R + 1) * n_points - 1: (B * R + 1) * n_points stays below this
+KEY_LIMIT = 1 << 63
 
 # the header, then the index arrays of these names, in image order: item sizes never
 # grow along it, so every array starts aligned to its own item size
@@ -155,9 +157,10 @@ def _check_membership(cell_offsets, cell_members, B, R, n):
         raise FormatError("a repetition does not hold exactly n_points members")
     if cell_members.max() >= n:
         raise FormatError("cell membership references an out-of-range point")
-    # R * n keys below R * n: all present means each exactly once
-    keys = np.repeat(np.arange(R, dtype=np.int64) * n, n) + cell_members
-    if not np.bincount(keys, minlength=R * n).all():
+    # repetition r fills slots r * n .. (r + 1) * n (checked above): every slot seen means each point once
+    seen = np.zeros(R * n, dtype=bool)
+    seen[(cell_members.reshape(R, n) + (np.arange(R) * n)[:, None]).ravel()] = True
+    if not seen.all():
         raise FormatError("a point occurs twice in one repetition")
     cell_start = np.zeros(cell_members.size + 1, dtype=bool)
     cell_start[cell_offsets] = True
@@ -243,6 +246,9 @@ class FlinngIndex:
         B, R = config.num_cells, config.repetitions
         if R * n >= OFFSET_LIMIT:
             raise InputError(f"repetitions * n_points = {R * n} does not fit the 32-bit cell offsets")
+        if (B * R + 1) * n >= KEY_LIMIT:
+            raise InputError(f"(num_cells * repetitions + 1) * n_points = {(B * R + 1) * n} "
+                             "does not fit the 64-bit top-k keys")
 
         total = config.total_cells
         # repetition r: permute, then position i lands in cell i mod B
@@ -262,7 +268,9 @@ class FlinngIndex:
 
         table_size = 1 << spec.l_bits
         flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
-        payloads, starts = [], []
+        # a table adds at most R cells per point: the payload is written in place, then trimmed
+        payload = np.empty(min(R * n * m, OFFSET_LIMIT - 1), dtype=config.cell_dtype)
+        starts = []
         payload_len = 0
         cells_t = cells_of.T  # (n, R)
         for i in range(m):
@@ -272,15 +280,16 @@ class FlinngIndex:
             uniq = keys[_run_starts(keys)]
             if payload_len + uniq.size >= OFFSET_LIMIT:
                 raise InputError("the reverse tables outgrow the 32-bit bucket offsets")
-            payloads.append((uniq % total).astype(config.cell_dtype))
+            np.remainder(uniq, total, out=payload[payload_len : payload_len + uniq.size], casting="unsafe")
             buckets = np.floor_divide(uniq, total, out=uniq)  # in place: uniq is not read again
             first = np.flatnonzero(_run_starts(buckets))  # each non-empty bucket's first pair
             flags[buckets[first] + i * table_size] = True
             starts.append((first + payload_len).astype(np.uint32))
             payload_len += buckets.size
         bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
+        payload.resize(payload_len, refcheck=False)  # no view of it exists
         index = cls._from_parts(config, n, cell_offsets, cell_members, _bucket_bitmap(flags), bucket_offsets,
-                                np.concatenate(payloads))
+                                payload)
         if family is not None:
             index.family = family
         return index
@@ -378,12 +387,11 @@ class FlinngIndex:
         rank = np.full(self.config.total_cells, order.size)
         rank[order] = np.arange(order.size)
         cand = self._members(touched[touched < self.config.num_cells])
-        last = rank[np.take(self.point_cells, cand, axis=1)].max(0)
-        keep = last < order.size
-        # emission order is (last cell reached, id): ids ascend within a cell
-        key = last[keep] * self.n_points + cand[keep]
+        # emission order is (last cell reached, id): ids ascend within a cell; a candidate with an
+        # untouched cell reaches rank order.size, so its key sorts after every emission
+        key = rank[np.take(self.point_cells, cand, axis=1)].max(0) * self.n_points + cand
         key = np.sort(np.partition(key, k - 1)[:k] if key.size > k else key)
-        return key % self.n_points
+        return key[key < order.size * self.n_points] % self.n_points
 
     # -- serialization ------------------------------------------------------
 
@@ -434,6 +442,8 @@ class FlinngIndex:
             raise FormatError("the header holds zero points")
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
             raise FormatError("R * n_points or the payload length does not fit the 32-bit offsets")
+        if (B * R + 1) * n_points >= KEY_LIMIT:
+            raise FormatError("(B * R + 1) * n_points does not fit the 64-bit top-k keys")
         total = B * R
         n_buckets = m << l_bits
         words = _bucket_words(n_buckets)

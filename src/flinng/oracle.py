@@ -188,6 +188,8 @@ def read_ground_truth(path):
             for field_i, part in enumerate(line.split(), 1):
                 try:
                     id_s, sim_s = part.split(GT_SEP, 1)
+                    if not (id_s.isascii() and id_s.isdigit()):  # int() also takes "+5", "1_0" and non-ASCII digits
+                        raise ValueError("an id is ASCII digits only")
                     ids.append(lsh._count(int(id_s), "id", 0, _ID_MAX, ValueError))
                     sims.append(float(sim_s))
                 except ValueError as exc:

@@ -180,6 +180,32 @@ def test_query_empty_query_file(six, tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("command, flag", [("topk", "--k"), ("query", "--t")])
+def test_failed_query_run_leaves_out_untouched(six, tmp_path, capsys, command, flag):
+    # --out used to be opened, and so emptied, before the first query failed on a bad k or t
+    index = tmp_path / "six.flinng"
+    run("build", "--dataset", six, "--index", index, "--B", 3, "--R", 2, "--m", 8, "--l-bits", 8)
+    keep = tmp_path / "keep.txt"
+    keep.write_text("0 1 2\n")
+    assert run(command, "--index", index, "--queries", six, "--out", keep, flag, 0) == 3
+    assert keep.read_text() == "0 1 2\n"
+
+
+@pytest.mark.parametrize("command, flag, value", [("topk", "--k", 5), ("query", "--t", 1)])
+def test_query_run_of_the_wrong_dim_creates_no_out(tmp_path, capsys, command, flag, value):
+    points = np.random.default_rng(3).standard_normal((12, 3))
+    data = tmp_path / "pts.dense"
+    dataio.save_dense(data, points)
+    index = tmp_path / "pts.flinng"
+    assert run("build", "--dataset", data, "--index", index, "--metric", "cosine", "--B", 3, "--R", 2,
+               "--m", 8, "--l-bits", 8) == 0
+    qfile = tmp_path / "q.dense"
+    dataio.save_dense(qfile, np.ones((2, 4)))
+    new = tmp_path / "new.txt"
+    assert run(command, "--index", index, "--queries", qfile, "--out", new, flag, value) == 3
+    assert not new.exists()
+
+
 @pytest.mark.parametrize(
     "points, queries, message",
     [(np.empty((0, 3)), np.eye(3), "empty corpus"), (np.eye(3), np.eye(4), "query 0: shape (4,)")],

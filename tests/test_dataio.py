@@ -51,6 +51,20 @@ def test_load_tokens_positioned_errors(tmp_path, content, fragment):
         dataio.load_tokens(f)
 
 
+@pytest.mark.parametrize(
+    "content, position",
+    [("1 1_0\n", ":1: column 2"), ("+5 1\n", ":1: column 1"), ("1 2 \u0661\n", ":1: column 3"),
+     ("1\u20282 \uff13\n", ":1: column 3"), ("7\n1 0x1f\n", ":2: column 2")],
+    ids=["underscore", "plus-sign", "arabic-indic-digit", "fullwidth-digit-after-line-separator", "hex"],
+)
+def test_load_tokens_takes_ascii_digits_only(tmp_path, content, position):
+    # int() read "1_0" as 10, "+5" as 5 and the Arabic-Indic one as 1
+    f = tmp_path / "bad.txt"
+    f.write_bytes(content.encode("utf-8"))
+    with pytest.raises(InputError, match=f"{position}: .* ASCII digits"):
+        dataio.load_tokens(f)
+
+
 def test_load_tokens_empty_file_is_zero_points(tmp_path):
     f = tmp_path / "none.txt"
     f.write_bytes(b"")

@@ -642,6 +642,36 @@ def test_header_past_32_bit_offsets_rejected(token_corpus_50, offset, value):
         FlinngIndex.from_bytes(_header_field(idx, offset, value, size=8))
 
 
+def test_point_twice_in_repetition_1_rejected(token_corpus_50):
+    # repetition 1 only: the first member of a cell without point 0 becomes 0, so ids still ascend in
+    # every cell, the other repetitions are untouched, and only the duplicate check can reject the image
+    _, idx = token_corpus_50
+    B, members = idx.config.num_cells, idx.cell_members.copy()
+    cell = next(c for c in range(B, 2 * B) if idx.members_of(c).size and 0 not in idx.members_of(c))
+    members[idx.cell_offsets[cell]] = 0
+    with pytest.raises(FormatError, match="twice in one repetition"):
+        FlinngIndex.from_bytes(_image(idx, cell_members=members))
+
+
+def test_header_past_64_bit_topk_keys_rejected():
+    # B * R = 2^32 - 1 and R * n_points = 2^31 + 1 fit their 32-bit limits, but (B * R + 1) * n_points
+    # = 2^63 + 2^32 does not fit an int64 key; raised from the header, before the size is checked
+    header = index_module._HEADER.pack(index_module.MAGIC, index_module.VERSION, 0, (1 << 32) - 1, 1, 1, 1, 0,
+                                       0, (1 << 31) + 1, 0, 0)
+    with pytest.raises(FormatError, match="64-bit top-k keys"):
+        FlinngIndex.from_bytes(header)
+
+
+def test_from_codes_rejects_keys_past_limit(monkeypatch):
+    codes = np.random.default_rng(3).integers(0, 16, (10, 4))
+    full = codes_index(codes, B=3, R=2, m=4, l_bits=4)
+    monkeypatch.setattr(index_module, "KEY_LIMIT", (3 * 2 + 1) * 10)
+    with pytest.raises(InputError, match="64-bit top-k keys"):
+        codes_index(codes, B=3, R=2, m=4, l_bits=4)
+    monkeypatch.setattr(index_module, "KEY_LIMIT", (3 * 2 + 1) * 10 + 1)
+    assert codes_index(codes, B=3, R=2, m=4, l_bits=4).to_bytes() == full.to_bytes()
+
+
 def test_from_codes_rejects_offsets_past_limit(monkeypatch):
     codes = np.random.default_rng(3).integers(0, 16, (10, 4))
     full = codes_index(codes, B=3, R=2, m=4, l_bits=4)

@@ -8,6 +8,7 @@ import pytest
 from flinng import lsh
 from flinng._prng import key_stream, mix64
 from flinng.errors import InputError
+from flinng.index import FlinngConfig, FlinngIndex
 from flinng.index import _ragged as _ragged_gather
 from tests.conftest import random_token_points, small_index
 
@@ -62,6 +63,19 @@ def test_ragged_over_uint32_offsets_matches_plain_concatenation():
     got = _ragged_gather(values, offsets[rows], offsets[rows + 1])
     assert got.tolist() == expect
     assert got.dtype == values.dtype
+
+
+def test_build_of_one_shared_code_trims_its_payload():
+    # every point has the same codes: each table has one bucket, holding every cell once, so the
+    # payload written in place for up to R cells per point is cut to m * B * R entries it owns
+    B, R, m = 5, 3, 6
+    codes = np.tile(np.arange(m, dtype=np.uint32), (40, 1))
+    spec = lsh.HashFamilySpec("minhash", m=m, l_bits=4, seed=1)
+    idx = FlinngIndex.from_codes(codes, FlinngConfig(B, R, spec, "jaccard"))
+    assert idx.table_payload.shape == (m * B * R,)
+    assert idx.table_payload.flags.owndata and idx.table_payload.base is None
+    assert idx.table_payload.tolist() == list(range(B * R)) * m
+    assert FlinngIndex.from_bytes(idx.to_bytes()).to_bytes() == idx.to_bytes()
 
 
 def _reference_counts(idx, codes):

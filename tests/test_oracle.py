@@ -265,6 +265,16 @@ def test_read_ground_truth_rejects_ids_out_of_range(tmp_path, text):
         oracle.read_ground_truth(path)
 
 
+@pytest.mark.parametrize("text", ["0:1.0\n1_0:0.5\n", "0:1.0\n+5:0.5\n", "0:1.0\n\u0661:0.5\n"],
+                         ids=["underscore", "plus-sign", "arabic-indic-digit"])
+def test_read_ground_truth_takes_ascii_digit_ids_only(tmp_path, text):
+    # int() read "1_0" as 10, "+5" as 5 and the Arabic-Indic one as 1
+    path = tmp_path / "truth.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=":2: field 1"):
+        oracle.read_ground_truth(path)
+
+
 _truth_row = st.integers(1, 6).flatmap(lambda n: st.tuples(
     hnp.arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)),
     hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False)),
