@@ -14,8 +14,6 @@ import numpy as np
 from . import lsh, oracle
 from .errors import ConfigError, FormatError, InputError
 
-_PLAIN_BYTES = b"0123456789 \t\n\r\x0b\x0c"
-
 
 def load_tokens(path):
     """Parse a token file into a list of sorted duplicate-free uint64 arrays."""
@@ -26,9 +24,6 @@ def load_tokens(path):
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise InputError(f"{path}:{lineno}: not valid UTF-8 text ({exc})") from exc
-    # int() alone would also take "+5", "1_0" and non-ASCII digits: a token must be ASCII digits, which
-    # needs no per-token check when the file holds nothing but those and ASCII whitespace
-    plain = not data.translate(None, _PLAIN_BYTES)
     lines = text.split("\n")  # only "\n" ends a line; "\r" and the rest are whitespace in it
     if not lines[-1]:
         lines.pop()  # the empty text after a final "\n", or an empty file
@@ -37,10 +32,11 @@ def load_tokens(path):
         fields = line.split()
         if not fields:
             raise InputError(f"{path}:{lineno}: blank line (every line must hold a point)")
-        bad = [] if plain else [(c, t) for c, t in enumerate(fields, 1) if not (t.isascii() and t.isdigit())]
-        if bad:
-            raise InputError(f"{path}:{lineno}: column {bad[0][0]}: {bad[0][1]!r} is not a non-negative integer "
-                             "in ASCII digits")
+        for col, tok in enumerate(fields, 1):
+            # int() alone would also take "+5", "1_0" and non-ASCII digits
+            if not (tok.isascii() and tok.isdigit()):
+                raise InputError(f"{path}:{lineno}: column {col}: {tok!r} is not a non-negative integer "
+                                 "in ASCII digits")
         values = list(map(int, fields))
         if max(values) > lsh._U64_MAX:
             col, value = next((c, v) for c, v in enumerate(values, 1) if v > lsh._U64_MAX)

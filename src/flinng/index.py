@@ -268,9 +268,7 @@ class FlinngIndex:
 
         table_size = 1 << spec.l_bits
         flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
-        # a table adds at most R cells per point: the payload is written in place, then trimmed
-        payload = np.empty(min(R * n * m, OFFSET_LIMIT - 1), dtype=config.cell_dtype)
-        starts = []
+        payloads, starts = [], []
         payload_len = 0
         cells_t = cells_of.T  # (n, R)
         for i in range(m):
@@ -280,16 +278,15 @@ class FlinngIndex:
             uniq = keys[_run_starts(keys)]
             if payload_len + uniq.size >= OFFSET_LIMIT:
                 raise InputError("the reverse tables outgrow the 32-bit bucket offsets")
-            np.remainder(uniq, total, out=payload[payload_len : payload_len + uniq.size], casting="unsafe")
+            payloads.append((uniq % total).astype(config.cell_dtype))
             buckets = np.floor_divide(uniq, total, out=uniq)  # in place: uniq is not read again
             first = np.flatnonzero(_run_starts(buckets))  # each non-empty bucket's first pair
             flags[buckets[first] + i * table_size] = True
             starts.append((first + payload_len).astype(np.uint32))
             payload_len += buckets.size
         bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
-        payload.resize(payload_len, refcheck=False)  # no view of it exists
         index = cls._from_parts(config, n, cell_offsets, cell_members, _bucket_bitmap(flags), bucket_offsets,
-                                payload)
+                                np.concatenate(payloads))
         if family is not None:
             index.family = family
         return index

@@ -65,9 +65,9 @@ def test_ragged_over_uint32_offsets_matches_plain_concatenation():
     assert got.dtype == values.dtype
 
 
-def test_build_of_one_shared_code_trims_its_payload():
+def test_build_of_one_shared_code_keeps_one_entry_per_cell_and_table():
     # every point has the same codes: each table has one bucket, holding every cell once, so the
-    # payload written in place for up to R cells per point is cut to m * B * R entries it owns
+    # dedup leaves m * B * R payload entries of the R * n * m pairs, in an array the index owns
     B, R, m = 5, 3, 6
     codes = np.tile(np.arange(m, dtype=np.uint32), (40, 1))
     spec = lsh.HashFamilySpec("minhash", m=m, l_bits=4, seed=1)
