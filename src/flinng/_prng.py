@@ -17,6 +17,8 @@ import numpy as np
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+# the finalizer's shifts, as uint64 scalars: a ufunc converts a Python int on every call
+_S1, _S2, _S3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 # Domain-separation tags for the independent streams hanging off one seed.
@@ -25,13 +27,24 @@ TAG_SRP_DIRECTIONS = 0x73727064  # "srpd"
 TAG_PERMUTATION = 0x7065726D  # "perm"; repetition r uses TAG_PERMUTATION + r
 
 
-def mix64(x):
-    """SplitMix64 finalizer over uint64 scalars or arrays (wrapping arithmetic)."""
+def mix64(x, tmp=None):
+    """SplitMix64 finalizer over uint64 scalars or arrays (wrapping arithmetic).
+
+    With ``tmp``, a uint64 array of x's shape, x must be a uint64 array: it is
+    mixed in place, with tmp as scratch, and returned. Without, x is left as
+    it is and a new value is returned.
+    """
+    if tmp is None:
+        z = np.array(x, dtype=np.uint64)
+        return mix64(z, np.empty_like(z))[()]
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        for shift, mul in ((_S1, _MIX1), (_S2, _MIX2)):
+            np.right_shift(x, shift, out=tmp)
+            x ^= tmp
+            x *= mul
+        np.right_shift(x, _S3, out=tmp)
+        x ^= tmp
+    return x
 
 
 def derive(seed, tag):

@@ -13,8 +13,10 @@ Two families are provided, one per similarity:
 
 A code packs its l_bits single-bit hashes with hash j at bit position j.
 ``minhash_codes`` is the MinHash kernel: integer math over slabs of tokens, so
-codes are bit-for-bit reproducible. ``hash_dense_many`` projects row slabs of
-the same budget, so neither kernel holds more than one slab's intermediates.
+codes are bit-for-bit reproducible. A slab is an (l_bits, tokens) array, one
+row per key of a table, mixed in place: one slab buffer and one scratch
+buffer, allocated once per call, serve every table and every slab.
+``hash_dense_many`` projects row slabs of the same budget.
 Families are frozen after construction and safe to share across query
 threads. Same spec means bit-identical family, codes, and downstream index.
 
@@ -49,7 +51,8 @@ MAX_L_BITS = 24
 MAX_SRP_FLOATS = 1 << 24
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
-# 8-byte elements allowed per intermediate slab in the hash kernels
+# 8-byte elements per slab in the hash kernels; the MinHash kernel holds one
+# slab buffer and one scratch buffer of this size (or of one wider point)
 _SLAB_BUDGET = 1 << 16
 
 
@@ -180,21 +183,35 @@ def minhash_codes(flat_tokens, offsets, keys, l_bits):
     n = offsets.shape[0] - 1
     m = keys.shape[0] // l_bits
     out = np.empty((n, m), dtype=np.uint32)
-    shifts = np.arange(l_bits, dtype=np.uint32)
+    if n == 0:
+        return out
+    keys = keys.reshape(m, l_bits, 1)
+    shifts = np.arange(l_bits, dtype=np.uint64)[:, None]
     one = np.uint64(1)
     max_tokens = max(1, _SLAB_BUDGET // l_bits)
+    # a slab holds at most max_tokens tokens, or one point wider than that, and
+    # never more than the call's tokens (a query is one small point)
+    width = min(max(max_tokens, int(np.diff(offsets).max())), int(offsets[-1] - offsets[0]))
+    slab_buf = np.empty(l_bits * width, dtype=np.uint64)
+    tmp_buf = np.empty_like(slab_buf)
     start = 0
     while start < n:
         # grow the point slab until its token span hits the budget
         stop = int(np.searchsorted(offsets, offsets[start] + max_tokens, side="right")) - 1
         stop = min(n, max(stop, start + 1))
         toks = flat_tokens[offsets[start] : offsets[stop]]
-        local = offsets[start : stop + 1] - offsets[start]
+        local = offsets[start:stop] - offsets[start]
+        slab = slab_buf[: l_bits * toks.shape[0]].reshape(l_bits, toks.shape[0])
+        tmp = tmp_buf[: l_bits * toks.shape[0]].reshape(slab.shape)
+        # the per-point minima reuse the scratch buffer, free once a slab is mixed
+        mins = tmp_buf[: l_bits * (stop - start)].reshape(l_bits, stop - start)
         for i in range(m):
-            mixed = mix64(toks[:, None] ^ keys[i * l_bits : (i + 1) * l_bits][None, :])
-            mins = np.minimum.reduceat(mixed, local[:-1], axis=0)
-            bits = (mins & one).astype(np.uint32)
-            out[start:stop, i] = np.bitwise_or.reduce(bits << shifts, axis=1)
+            # row j of the slab mixes every token with key j of table i
+            mix64(np.bitwise_xor(keys[i], toks, out=slab), tmp)
+            np.minimum.reduceat(slab, local, axis=1, out=mins)
+            mins &= one
+            mins <<= shifts
+            out[start:stop, i] = np.bitwise_or.reduce(mins, axis=0)
         start = stop
     return out
 

@@ -6,6 +6,7 @@ one matrix product. Ties are always broken by ascending point id, and a
 query hit in ``evaluate`` means the tie-broken true top-1 id was returned.
 """
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import InputError
 
 GT_SEP = ":"
 _ID_MAX = (1 << 63) - 1  # ground-truth ids read back as int64
+# a similarity as write_ground_truth's ".17g" writes it
+_SIM_FORM = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan")
 
 
 def jaccard(x, y) -> float:
@@ -176,6 +179,16 @@ def write_ground_truth(path, rows):
             fh.write("\n")
 
 
+def _similarity(text):
+    """A similarity in the ASCII form ``write_ground_truth`` writes, as float; ValueError for any other.
+
+    float() alone also takes "+1", "1_0", surrounding spaces and non-ASCII digits.
+    """
+    if not _SIM_FORM.fullmatch(text):
+        raise ValueError(f"not a similarity as write_ground_truth writes one: {text!r}")
+    return float(text)
+
+
 def read_ground_truth(path):
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -191,7 +204,7 @@ def read_ground_truth(path):
                     if not (id_s.isascii() and id_s.isdigit()):  # int() also takes "+5", "1_0" and non-ASCII digits
                         raise ValueError("an id is ASCII digits only")
                     ids.append(lsh._count(int(id_s), "id", 0, _ID_MAX, ValueError))
-                    sims.append(float(sim_s))
+                    sims.append(_similarity(sim_s))
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: field {field_i}: {part!r}") from exc
             rows.append((np.asarray(ids, dtype=np.int64), np.asarray(sims, dtype=np.float64)))

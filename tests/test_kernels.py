@@ -1,5 +1,6 @@
 """The hash kernels and the query path against plain per-point and per-cell references."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,11 +21,19 @@ def _ragged(points):
     return np.concatenate(points).astype(np.uint64), offsets
 
 
-@pytest.mark.parametrize("l_bits", [1, 6, 16])
-def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
+_POINTS = random_token_points(40, 25, seed=5)
+# 4-token points share slabs; point 7 alone is wider than the 64 // 6 token budget
+_ONE_WIDE = random_token_points(7, 4, seed=6) + random_token_points(1, 200, seed=8) + random_token_points(12, 4, seed=7)
+
+
+@pytest.mark.parametrize(
+    "l_bits, points",
+    [(1, _POINTS), (6, _POINTS), (16, _POINTS), (6, _ONE_WIDE), (lsh.MAX_L_BITS, _POINTS[:10])],
+    ids=["1", "6", "16", "6-one-wide-point", "max-l-bits"],
+)
+def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits, points):
     # bit j of code i is the parity of min over tokens of mix64(token ^ key)
     monkeypatch.setattr(lsh, "_SLAB_BUDGET", 64)  # many slabs
-    points = random_token_points(40, 25, seed=5)
     flat, offsets = _ragged(points)
     m = 4
     keys = key_stream(7, m * l_bits)
@@ -33,6 +42,37 @@ def test_minhash_codes_match_per_point_reference(monkeypatch, l_bits):
         for p in points
     ]
     assert lsh.minhash_codes(flat, offsets, keys, l_bits).tolist() == expect
+
+
+def test_minhash_codes_hold_two_slabs_of_memory():
+    # one slab buffer and one scratch buffer, reused by every table and slab
+    rng = np.random.default_rng(0)
+    n, l_bits, m = 400, 16, 8
+    flat = rng.integers(0, 2**63, n * 100, dtype=np.uint64)
+    offsets = np.arange(0, n * 100 + 1, 100, dtype=np.int64)
+    keys = key_stream(7, m * l_bits)
+    tracemalloc.start()
+    try:
+        codes = lsh.minhash_codes(flat, offsets, keys, l_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * lsh._SLAB_BUDGET * 8 + codes.nbytes
+
+
+def test_mix64_in_place_matches_mix64():
+    x = np.random.default_rng(1).integers(0, 2**64, 1000, dtype=np.uint64)
+    x[:2] = [0, 2**64 - 1]
+    expect = mix64(x)
+    assert np.array_equal(mix64(x, np.empty_like(x)), expect)
+    assert np.array_equal(x, expect)  # mixed in place
+
+
+def test_hash_set_many_of_no_points():
+    family = lsh.build_family(lsh.HashFamilySpec("minhash", m=5, l_bits=8, seed=1))
+    codes = lsh.hash_set_many(family, [])
+    assert codes.shape == (0, 5)
+    assert codes.dtype == np.uint32
 
 
 def test_dense_codes_match_whole_matrix_reference(monkeypatch):

@@ -275,6 +275,22 @@ def test_read_ground_truth_takes_ascii_digit_ids_only(tmp_path, text):
         oracle.read_ground_truth(path)
 
 
+@pytest.mark.parametrize("text", ["0:1.0 1:1_0\n", "0:1.0 1:\u0661\n"], ids=["underscore", "arabic-indic-digit"])
+def test_read_ground_truth_takes_written_similarities_only(tmp_path, text):
+    # float() read "1_0" as 10.0 and the Arabic-Indic one as 1.0
+    path = tmp_path / "truth.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=":1: field 2"):
+        oracle.read_ground_truth(path)
+
+
+@pytest.mark.parametrize("text", [" 0.5", "0.5 ", "+0.5", "1_0", "\u0661", ".5", "1E5", "-nan", "Infinity", ""])
+def test_similarity_parse_rejects_forms_write_never_writes(text):
+    # a field of a line cannot hold whitespace, so the spaced forms are checked on the parse itself
+    with pytest.raises(ValueError):
+        oracle._similarity(text)
+
+
 _truth_row = st.integers(1, 6).flatmap(lambda n: st.tuples(
     hnp.arrays(np.int64, n, elements=st.integers(0, 2**63 - 1)),
     hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False)),
