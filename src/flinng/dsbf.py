@@ -32,19 +32,16 @@ class DistanceSensitiveFilter:
         self.l_bits = _count(l_bits, "l_bits", high=MAX_L_BITS, error=ConfigError)
         self.t = _count(t, "t", high=self.m, error=ConfigError)
         self.arrays = np.zeros((self.m, 1 << self.l_bits), dtype=bool)
-        self.count_inserted = 0
         self._rows = np.arange(self.m)
 
     def insert(self, codes):
         """Set bit codes[i] in array i for every i. Idempotent per code vector."""
         self.arrays[self._rows, _code_array(codes, self.m, self.l_bits)] = True
-        self.count_inserted += 1
 
     def insert_many(self, code_matrix):
         """Insert every row of an (n, m) code matrix."""
         mat = _code_array(code_matrix, self.m, self.l_bits, matrix=True)
         self.arrays[self._rows[None, :], mat] = True
-        self.count_inserted += mat.shape[0]
 
     def count_collisions(self, codes) -> int:
         """Number of arrays whose bit at the query's code is set (0..m)."""

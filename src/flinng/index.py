@@ -39,7 +39,7 @@ _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
 _KIND_METRIC = {kind: metric for metric, kind in _METRIC_KIND.items()}
 
 MAGIC = b"FLNG"
-VERSION = 4
+VERSION = 5
 # 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned; pad bytes are reserved zeros
 _HEADER = struct.Struct("<4sIB3xIIIIQI4xQQI")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
@@ -52,7 +52,7 @@ KEY_LIMIT = 1 << 63
 
 # the header, then the index arrays of these names, in image order: item sizes never
 # grow along it, so every array starts aligned to its own item size
-IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "cell_offsets", "cell_members", "table_payload")
+IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "cell_members", "table_payload")
 
 # entry s: the bits of a word below bit s
 _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
@@ -61,7 +61,7 @@ _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.ui
 def _image_dtypes(width):
     """Image dtypes of the arrays in IMAGE_PARTS[1:]."""
     u4 = np.dtype("<u4")
-    return np.dtype("<u8"), u4, u4, u4, np.dtype(f"<u{width}")
+    return np.dtype("<u8"), u4, u4, np.dtype(f"<u{width}")
 
 
 def _word_ranks(bits):
@@ -150,14 +150,12 @@ def _run_starts(values):
     return first
 
 
-def _check_membership(cell_offsets, cell_members, B, R, n):
+def _check_membership(cell_offsets, cell_members, R, n):
     """Raise FormatError unless each repetition holds every point in [0, n) once,
-    with ids ascending within each cell."""
-    if (cell_offsets[: B * R : B] != np.arange(R) * n).any():
-        raise FormatError("a repetition does not hold exactly n_points members")
+    with ids ascending within each cell of the derived ``cell_offsets``."""
     if cell_members.max() >= n:
         raise FormatError("cell membership references an out-of-range point")
-    # repetition r fills slots r * n .. (r + 1) * n (checked above): every slot seen means each point once
+    # repetition r fills slots r * n .. (r + 1) * n: every slot seen means each point once
     seen = np.zeros(R * n, dtype=bool)
     seen[(cell_members.reshape(R, n) + (np.arange(R) * n)[:, None]).ravel()] = True
     if not seen.all():
@@ -177,9 +175,9 @@ class FlinngIndex:
     ``table_payload[bucket_offsets[rank(b)] : bucket_offsets[rank(b + 1)]]``,
     where rank(x), the set bits before bit x, is ``bucket_ranks[x >> 6]`` plus
     those below x in its word. An empty bucket has rank(b + 1) = rank(b).
-    The rank directory ``bucket_ranks`` and the hash ``family`` are derived,
-    not stored; a family passed to the constructor or ``from_codes`` must be
-    built for ``config.hash_spec``, and is kept.
+    The cell offsets, the rank directory ``bucket_ranks`` and the hash
+    ``family`` are derived, not stored; a family passed to the constructor or
+    ``from_codes`` must be built for ``config.hash_spec``, and is kept.
     """
 
     def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family=None):
@@ -195,10 +193,17 @@ class FlinngIndex:
             self.family = family
 
     @classmethod
-    def _from_parts(cls, *parts):
-        """An index from its stored parts (the arguments of ``_set``), with no dense offsets."""
+    def _from_parts(cls, config, n_points, *parts):
+        """An index from its stored parts (the arguments of ``_set`` except cell_offsets), with no dense offsets.
+
+        Cell j of every repetition holds n // B + (j < n % B) points, so the cell offsets follow from
+        (n, B, R): they are derived here, read-only, not stored."""
+        size, extra = divmod(n_points, config.num_cells)
+        r, j = np.divmod(np.arange(config.total_cells + 1), config.num_cells)
+        cell_offsets = (r * n_points + j * size + np.minimum(j, extra)).astype(np.uint32)
+        cell_offsets.flags.writeable = False
         index = cls.__new__(cls)
-        index._set(*parts)
+        index._set(config, n_points, cell_offsets, *parts)
         return index
 
     def _set(self, config, n_points, cell_offsets, cell_members, bucket_bits, bucket_offsets, table_payload):
@@ -258,13 +263,8 @@ class FlinngIndex:
             perm = permutation(derive(spec.seed, TAG_PERMUTATION + r), n)
             cells_of[r, perm] = r * B + (positions % B)
 
-        flat_cells = cells_of.reshape(R * n)
-        order = np.argsort(flat_cells, kind="stable")  # ascending ids within a cell
+        order = np.argsort(cells_of, axis=None, kind="stable")  # ascending ids within a cell
         cell_members = np.tile(np.arange(n, dtype=np.uint32), R)[order]
-        # cell and bucket sizes go into the offsets arrays themselves, then one cumsum in place
-        cell_offsets = np.zeros(total + 1, dtype=np.uint32)
-        cell_offsets[1:] = np.bincount(flat_cells, minlength=total)
-        np.cumsum(cell_offsets, out=cell_offsets)
 
         table_size = 1 << spec.l_bits
         flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
@@ -285,7 +285,7 @@ class FlinngIndex:
             starts.append((first + payload_len).astype(np.uint32))
             payload_len += buckets.size
         bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
-        index = cls._from_parts(config, n, cell_offsets, cell_members, _bucket_bitmap(flags), bucket_offsets,
+        index = cls._from_parts(config, n, cell_members, _bucket_bitmap(flags), bucket_offsets,
                                 np.concatenate(payloads))
         if family is not None:
             index.family = family
@@ -393,7 +393,7 @@ class FlinngIndex:
     # -- serialization ------------------------------------------------------
 
     def _image_parts(self):
-        """The header, then the five arrays in image order as little-endian contiguous arrays."""
+        """The header, then the four arrays in image order as little-endian contiguous arrays."""
         cfg = self.config
         spec = cfg.hash_spec
         width = np.dtype(cfg.cell_dtype).itemsize
@@ -445,7 +445,7 @@ class FlinngIndex:
         n_buckets = m << l_bits
         words = _bucket_words(n_buckets)
         dtypes = _image_dtypes(np.dtype(config.cell_dtype).itemsize)
-        counts = (words, nonempty + 1, total + 1, R * n_points, payload_len)
+        counts = (words, nonempty + 1, R * n_points, payload_len)
         # Python ints: a corrupt n_points cannot overflow the expected size
         expected = _HEADER.size + sum(c * d.itemsize for c, d in zip(counts, dtypes))
         if len(buf) != expected:
@@ -456,7 +456,7 @@ class FlinngIndex:
         for count, dtype in zip(counts, dtypes):
             arrays.append(np.frombuffer(buf, dtype, count, off))
             off += count * dtype.itemsize
-        bucket_bits, bucket_offsets, cell_offsets, cell_members, table_payload = arrays
+        bucket_bits, bucket_offsets, cell_members, table_payload = arrays
         if bucket_bits[-1] >> (n_buckets & 63):
             raise FormatError("the bucket bitmap has bits past the last bucket")
         if int(np.bitwise_count(bucket_bits).sum()) != nonempty:
@@ -465,14 +465,11 @@ class FlinngIndex:
         if (bucket_offsets[0] != 0 or bucket_offsets[-1] != payload_len
                 or (bucket_offsets[1:] <= bucket_offsets[:-1]).any()):
             raise FormatError("corrupt reverse-table offsets")
-        if (cell_offsets[0] != 0 or cell_offsets[-1] != R * n_points
-                or (cell_offsets[1:] < cell_offsets[:-1]).any()):
-            raise FormatError("corrupt membership offsets")
         if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
-        _check_membership(cell_offsets, cell_members, B, R, n_points)
-        return cls._from_parts(config, n_points, cell_offsets, cell_members, bucket_bits, bucket_offsets,
-                               table_payload)
+        index = cls._from_parts(config, n_points, cell_members, bucket_bits, bucket_offsets, table_payload)
+        _check_membership(index.cell_offsets, cell_members, R, n_points)
+        return index
 
     def save(self, path):
         with open(path, "wb") as fh:

@@ -265,7 +265,7 @@ def hash_dense_many(family: HashFamily, matrix) -> np.ndarray:
     for start in range(0, n, rows):
         # one slab of rows: its projections stay within the budget
         slab = _finite(mat[start : start + rows])
-        zero = np.flatnonzero(np.einsum("ij,ij->i", slab, slab) == 0)
+        zero = np.flatnonzero(~slab.any(axis=1))
         if zero.size:
             raise InputError(f"point {start + int(zero[0])} is a zero vector")
         bits = (slab @ family.directions.T >= 0.0).astype(np.uint32)

@@ -127,9 +127,9 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
     (24), the widest code a hash family takes: InfeasibleParameterError when
     no L up to it separates s_k from s_k1.
     """
+    n_points = lsh._count(n_points, "n_points")
     if n_points < MIN_PLAN_POINTS:
         raise DomainError(f"planner requires n_points >= {MIN_PLAN_POINTS}, got {n_points}")
-    n_points = lsh._count(n_points, "n_points")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie strictly in (0, 1), got {delta}")
     if not gamma >= 0:  # NaN fails it too

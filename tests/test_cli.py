@@ -40,13 +40,12 @@ def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
     capsys.readouterr()
     assert run("inspect", index) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 4
+    assert report["version"] == 5
     assert report["cell_id_width"] == 2
     assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
     assert report["n_points"] == 6
     parts = report["part_bytes"]
-    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "cell_offsets", "cell_members",
-                           "table_payload"]
+    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "cell_members", "table_payload"]
     assert sum(parts.values()) == index.stat().st_size
     assert report["buckets"] == 8 * 2**8
     assert parts["header"] == 64

@@ -53,7 +53,6 @@ def test_insert_is_bit_idempotent():
     snapshot = f.arrays.copy()
     f.insert(codes)
     assert np.array_equal(f.arrays, snapshot)
-    assert f.count_inserted == 2
 
 
 def test_disjoint_codes_do_not_collide():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flinng import index as index_module
+from flinng._prng import TAG_PERMUTATION, derive, permutation
 from flinng.errors import ConfigError, FormatError, InputError
 from flinng.index import FlinngConfig, FlinngIndex, QueryScratch
 from flinng.lsh import HashFamilySpec, build_family, hash_dense_many, hash_set_many
@@ -76,6 +77,22 @@ def test_balanced_partitions_random_shapes():
             assert union == set(range(n))
             assert sum(len(c) for c in cells) == n  # disjoint + complete
             assert max(len(c) for c in cells) - min(len(c) for c in cells) <= 1
+
+
+@pytest.mark.parametrize("n, B, R", [(5, 8, 2), (64, 8, 3), (1, 4, 3), (50, 7, 1), (600, 258, 255)],
+                         ids=["n<B", "n%B==0", "n=1", "R=1", "u32-cells"])
+def test_derived_cell_offsets_count_the_assigned_cells(n, B, R):
+    # reference: a bincount of each point's cell, recomputed from the seed's permutations, then a cumsum
+    idx = codes_index(np.zeros((n, 2)), B=B, R=R, m=2, l_bits=2)
+    cells = np.empty((R, n), dtype=np.int64)
+    for r in range(R):
+        cells[r, permutation(derive(0, TAG_PERMUTATION + r), n)] = r * B + np.arange(n) % B
+    expected = np.concatenate([[0], np.cumsum(np.bincount(cells.ravel(), minlength=B * R))])
+    for index in (idx, FlinngIndex.from_bytes(idx.to_bytes())):
+        assert index.cell_offsets.dtype == np.uint32
+        assert np.array_equal(index.cell_offsets, expected)
+        assert not index.cell_offsets.flags.writeable
+        assert np.array_equal(index.point_cells, cells)  # the offsets split the members into their cells
 
 
 def test_build_deterministic_byte_identical(token_corpus_50):
@@ -598,6 +615,7 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
         lambda idx: _header_field(idx, 4, 2),  # version 2 had dense bucket offsets
         lambda idx: _header_field(idx, 4, 3),  # version 3 stored the bucket ranks
+        lambda idx: _header_field(idx, 4, 4),  # version 4 stored the cell offsets
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
         _zero_point_image,
@@ -619,7 +637,7 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 43, 1, size=1),
     ],
     ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "version-1", "version-2", "version-3", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
+         "version-1", "version-2", "version-3", "version-4", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
          "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
          "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low",
          "l_bits-25", "zero-m", "reserved-byte-9", "reserved-byte-11", "minhash-dim", "reserved-byte-40",

@@ -110,10 +110,23 @@ def test_hash_dense_input_errors():
     fam = lsh.build_family(lsh.HashFamilySpec("srp", m=2, l_bits=4, seed=0, dim=8))
     with pytest.raises(InputError):
         lsh.hash_dense(fam, np.ones(7))
-    with pytest.raises(InputError):
-        lsh.hash_dense(fam, np.zeros(8))
+    for zero in (np.zeros(8), np.full(8, -0.0)):
+        with pytest.raises(InputError, match="point 1 is a zero vector"):
+            lsh.hash_dense_many(fam, np.stack([np.ones(8), zero]))
+        with pytest.raises(InputError, match="zero vector"):
+            lsh.hash_dense(fam, zero)
     with pytest.raises(InputError):
         lsh.hash_set(fam, lsh.token_set([1, 2]))  # wrong family kind
+
+
+def test_hash_dense_of_a_tiny_vector_follows_its_direction():
+    # its squared norm underflows to 0, but a code depends only on the direction
+    fam = lsh.build_family(lsh.HashFamilySpec("srp", m=4, l_bits=4, seed=0, dim=8))
+    tiny = np.full(8, 1e-200)
+    assert np.dot(tiny, tiny) == 0
+    assert np.array_equal(lsh.hash_dense(fam, tiny), lsh.hash_dense(fam, tiny * 1e190))
+    assert np.array_equal(lsh.hash_dense_many(fam, np.stack([tiny, -tiny])),
+                          lsh.hash_dense_many(fam, np.stack([tiny, -tiny]) * 1e190))
 
 
 @pytest.mark.parametrize(

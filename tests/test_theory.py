@@ -171,8 +171,9 @@ def test_plan_domain_errors():
         theory.plan_parameters(10_000, 0.0, 0.25, 0.5, 0.125)
     with pytest.raises(DegenerateQueryError):
         theory.plan_parameters(10_000, 0.05, 0.25, 0.5, 0.5)
-    with pytest.raises(InputError, match="n_points must be an integer"):
-        theory.plan_parameters(10_000.5, 0.05, 0.25, 0.5, 0.125)
+    for n_points in (10_000.5, 149.5, "200", None):
+        with pytest.raises(InputError, match="n_points must be an integer"):
+            theory.plan_parameters(n_points, 0.05, 0.25, 0.5, 0.125)
     with pytest.raises(InputError, match="gamma must be >= 0"):
         theory.plan_parameters(10_000, 0.05, math.nan, 0.5, 0.125)
 
