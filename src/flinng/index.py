@@ -1,7 +1,8 @@
 """Grouped near-neighbor index: a B x R grid of cells probed through reverse tables.
 
 Construction distributes the N points over B equal cells, independently R
-times (a derived-seed permutation plus modulo-B assignment per repetition).
+times (a derived-seed permutation plus modulo-B assignment per repetition),
+and stores each point's cell per repetition as ``point_cells``.
 Every point is hashed once into m codes; for each hash function i, a reverse
 table maps an l_bits-wide code to the deduplicated list of cells holding a
 point with that code. A query then:
@@ -10,7 +11,7 @@ point with that code. A query then:
   2. counts, per cell, how many of the m tables contain the cell under the
      query's code (``cell_counts``),
   3. takes as candidates the members of repetition 0's qualifying cells and
-     checks each candidate's R cells through ``point_cells``: ``query_threshold``
+     looks up each candidate's R cells in ``point_cells``: ``query_threshold``
      keeps those whose R cells all count >= t; ``query_topk`` walks the cells by
      descending count (ties by ascending id, zero counts skipped) and emits a
      point in the last of its R cells that the walk reaches, after the smaller
@@ -39,7 +40,7 @@ _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
 _KIND_METRIC = {kind: metric for metric, kind in _METRIC_KIND.items()}
 
 MAGIC = b"FLNG"
-VERSION = 5
+VERSION = 6
 # 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned; pad bytes are reserved zeros
 _HEADER = struct.Struct("<4sIB3xIIIIQI4xQQI")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
@@ -47,12 +48,10 @@ _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
 MAX_REPETITIONS = 255
 # offsets are uint32: R * n_points and the reverse-table payload length stay below this
 OFFSET_LIMIT = 1 << 32
-# top-k keys are int64 and reach (B * R + 1) * n_points - 1: (B * R + 1) * n_points stays below this
-KEY_LIMIT = 1 << 63
 
 # the header, then the index arrays of these names, in image order: item sizes never
 # grow along it, so every array starts aligned to its own item size
-IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "cell_members", "table_payload")
+IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "point_cells", "table_payload")
 
 # entry s: the bits of a word below bit s
 _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
@@ -60,8 +59,8 @@ _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.ui
 
 def _image_dtypes(width):
     """Image dtypes of the arrays in IMAGE_PARTS[1:]."""
-    u4 = np.dtype("<u4")
-    return np.dtype("<u8"), u4, u4, np.dtype(f"<u{width}")
+    cell = np.dtype(f"<u{width}")
+    return np.dtype("<u8"), np.dtype("<u4"), cell, cell
 
 
 def _word_ranks(bits):
@@ -93,6 +92,9 @@ class FlinngConfig:
     ConfigError at construction for a bad field; num_cells and repetitions are held as ints.
     """
 
+    # a bound on outside input: a grid's per-cell arrays stay near 128 MiB, like lsh.MAX_SRP_FLOATS
+    MAX_CELLS = 1 << 22
+
     num_cells: int
     repetitions: int
     hash_spec: lsh.HashFamilySpec
@@ -105,8 +107,9 @@ class FlinngConfig:
         object.__setattr__(self, "num_cells", lsh._count(self.num_cells, "num_cells", 2, error=ConfigError))
         object.__setattr__(self, "repetitions",
                            lsh._count(self.repetitions, "repetitions", high=MAX_REPETITIONS, error=ConfigError))
-        if self.num_cells * self.repetitions >= 1 << 32:
-            raise ConfigError("num_cells * repetitions exceeds the 32-bit cell id width")
+        if self.num_cells * self.repetitions > self.MAX_CELLS:
+            raise ConfigError(f"num_cells * repetitions = {self.num_cells * self.repetitions} "
+                              f"exceeds MAX_CELLS = {self.MAX_CELLS}")
         if self.metric not in _METRIC_KIND:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if _METRIC_KIND[self.metric] != self.hash_spec.kind:
@@ -150,45 +153,38 @@ def _run_starts(values):
     return first
 
 
-def _check_membership(cell_offsets, cell_members, R, n):
-    """Raise FormatError unless each repetition holds every point in [0, n) once,
-    with ids ascending within each cell of the derived ``cell_offsets``."""
-    if cell_members.max() >= n:
-        raise FormatError("cell membership references an out-of-range point")
-    # repetition r fills slots r * n .. (r + 1) * n: every slot seen means each point once
-    seen = np.zeros(R * n, dtype=bool)
-    seen[(cell_members.reshape(R, n) + (np.arange(R) * n)[:, None]).ravel()] = True
-    if not seen.all():
-        raise FormatError("a point occurs twice in one repetition")
-    cell_start = np.zeros(cell_members.size + 1, dtype=bool)
-    cell_start[cell_offsets] = True
-    if ((cell_members[1:] <= cell_members[:-1]) & ~cell_start[1:-1]).any():
-        raise FormatError("cell member ids are not ascending")
-
-
 class FlinngIndex:
-    """Immutable cell memberships plus m reverse tables from codes to cells.
+    """Immutable cell assignments plus m reverse tables from codes to cells.
 
+    Row r of ``point_cells`` holds each point's flat cell in repetition r.
     The m * 2**l_bits buckets of the reverse tables are numbered table by
     table, and bit b of ``bucket_bits`` marks bucket b non-empty. Only the
     non-empty buckets have offsets: bucket b holds
     ``table_payload[bucket_offsets[rank(b)] : bucket_offsets[rank(b + 1)]]``,
     where rank(x), the set bits before bit x, is ``bucket_ranks[x >> 6]`` plus
     those below x in its word. An empty bucket has rank(b + 1) = rank(b).
-    The cell offsets, the rank directory ``bucket_ranks`` and the hash
-    ``family`` are derived, not stored; a family passed to the constructor or
-    ``from_codes`` must be built for ``config.hash_spec``, and is kept.
+    The cell offsets, the ``cell_members``, the rank directory
+    ``bucket_ranks`` and the hash ``family`` are derived, not stored; a family
+    passed to the constructor or ``from_codes`` must be built for
+    ``config.hash_spec``, and is kept.
     """
 
     def __init__(self, config, n_points, cell_offsets, cell_members, table_offsets, table_payload, family=None):
-        """An index from dense bucket offsets: bucket b spans table_offsets[b] .. table_offsets[b + 1]."""
+        """An index from dense offsets: bucket b spans table_offsets[b] .. table_offsets[b + 1], and cell c
+        holds cell_members[cell_offsets[c] : cell_offsets[c + 1]]. The given cell offsets and members are kept."""
         _check_family(family, config)
         table_offsets = np.asarray(table_offsets, dtype=np.uint32)
         nonempty = np.flatnonzero(np.diff(table_offsets))
         flags = np.zeros(_bucket_words(table_offsets.size - 1) * 64, dtype=bool)
         flags[nonempty] = True
-        self._set(config, n_points, cell_offsets, cell_members, _bucket_bitmap(flags),
+        B, R = config.num_cells, config.repetitions
+        # int64: falling uint32 offsets would wrap to a huge repeat count instead of raising
+        cells = np.repeat(np.arange(config.total_cells), np.diff(np.asarray(cell_offsets, dtype=np.int64)))
+        point_cells = np.zeros(R * n_points, dtype=config.cell_dtype)
+        point_cells[cells // B * n_points + cell_members] = cells
+        self._set(config, n_points, cell_offsets, point_cells.reshape(R, n_points), _bucket_bitmap(flags),
                   np.append(table_offsets[nonempty], table_offsets[-1]), table_payload)
+        self.cell_members = cell_members
         if family is not None:
             self.family = family
 
@@ -206,13 +202,12 @@ class FlinngIndex:
         index._set(config, n_points, cell_offsets, *parts)
         return index
 
-    def _set(self, config, n_points, cell_offsets, cell_members, bucket_bits, bucket_offsets, table_payload):
+    def _set(self, config, n_points, cell_offsets, point_cells, bucket_bits, bucket_offsets, table_payload):
         self.config = config
         self.n_points = n_points
         self.cell_offsets = cell_offsets  # (B*R + 1,) uint32, last entry R * N
-        self.cell_members = cell_members  # (R * N,) uint32, ascending ids per cell
+        self.point_cells = point_cells  # (R, N) uint16/uint32, row r: each point's flat cell in repetition r
         self.bucket_bits = bucket_bits  # (m * 2**l_bits // 64 + 1,) uint64, bit b set: bucket b non-empty
-        self.bucket_ranks = _word_ranks(bucket_bits)  # int64 per word, set bits in the words before it
         self.bucket_offsets = bucket_offsets  # (non-empty buckets + 1,) uint32, last entry payload length
         self.table_payload = table_payload  # uint16/uint32 cell ids, dedup per bucket
         spec = config.hash_spec
@@ -251,20 +246,14 @@ class FlinngIndex:
         B, R = config.num_cells, config.repetitions
         if R * n >= OFFSET_LIMIT:
             raise InputError(f"repetitions * n_points = {R * n} does not fit the 32-bit cell offsets")
-        if (B * R + 1) * n >= KEY_LIMIT:
-            raise InputError(f"(num_cells * repetitions + 1) * n_points = {(B * R + 1) * n} "
-                             "does not fit the 64-bit top-k keys")
 
         total = config.total_cells
         # repetition r: permute, then position i lands in cell i mod B
-        cells_of = np.empty((R, n), dtype=np.int64)
+        cells_of = np.empty((R, n), dtype=config.cell_dtype)
         positions = np.arange(n, dtype=np.int64)
         for r in range(R):
             perm = permutation(derive(spec.seed, TAG_PERMUTATION + r), n)
             cells_of[r, perm] = r * B + (positions % B)
-
-        order = np.argsort(cells_of, axis=None, kind="stable")  # ascending ids within a cell
-        cell_members = np.tile(np.arange(n, dtype=np.uint32), R)[order]
 
         table_size = 1 << spec.l_bits
         flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
@@ -285,7 +274,7 @@ class FlinngIndex:
             starts.append((first + payload_len).astype(np.uint32))
             payload_len += buckets.size
         bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
-        index = cls._from_parts(config, n, cell_members, _bucket_bitmap(flags), bucket_offsets,
+        index = cls._from_parts(config, n, cells_of, _bucket_bitmap(flags), bucket_offsets,
                                 np.concatenate(payloads))
         if family is not None:
             index.family = family
@@ -298,15 +287,20 @@ class FlinngIndex:
         return self.cell_members[self.cell_offsets[flat_cell] : self.cell_offsets[flat_cell + 1]]
 
     @cached_property
-    def point_cells(self):
-        """(R, n) flat cell of point p in repetition r; derived on first use, not stored.
+    def cell_members(self):
+        """(R * N,) uint32 point ids, cell by cell, read-only; derived on first use (the first query), not stored.
 
-        Concurrent first queries may each derive the same array, which is harmless."""
-        B, n = self.config.num_cells, self.n_points
-        cells = np.repeat(np.arange(self.config.total_cells), np.diff(self.cell_offsets))
-        out = np.empty(self.cell_members.size, dtype=np.intp)
-        out[cells // B * n + self.cell_members] = cells
-        return out.reshape(self.config.repetitions, n)
+        The stable sort keeps ids ascending within a cell. Concurrent first queries may each derive the same
+        array, which is harmless."""
+        members = (np.argsort(self.point_cells, axis=None, kind="stable") % self.n_points).astype(np.uint32)
+        members.flags.writeable = False
+        return members
+
+    @cached_property
+    def bucket_ranks(self):
+        """The rank directory of ``bucket_bits``: int64 per word, the set bits in the words before it;
+        derived on first use (the first query), not stored."""
+        return _word_ranks(self.bucket_bits)
 
     @cached_property
     def table_offsets(self):
@@ -362,7 +356,7 @@ class FlinngIndex:
         t = lsh._count(t, "threshold", high=self.config.hash_spec.m)
         ok = self._gather(codes) >= t
         cand = self._members(np.flatnonzero(ok[: self.config.num_cells]))
-        return np.sort(cand[ok[np.take(self.point_cells, cand, axis=1)].all(0)]).astype(np.int64)
+        return np.sort(cand[np.take(ok, np.take(self.point_cells, cand, axis=1)).all(0)]).astype(np.int64)
 
     def query_topk(self, query, k, scratch=None):
         """Up to k point ids in emission order (may be shorter when few cells fire)."""
@@ -386,7 +380,7 @@ class FlinngIndex:
         cand = self._members(touched[touched < self.config.num_cells])
         # emission order is (last cell reached, id): ids ascend within a cell; a candidate with an
         # untouched cell reaches rank order.size, so its key sorts after every emission
-        key = rank[np.take(self.point_cells, cand, axis=1)].max(0) * self.n_points + cand
+        key = np.take(rank, np.take(self.point_cells, cand, axis=1)).max(0) * self.n_points + cand
         key = np.sort(np.partition(key, k - 1)[:k] if key.size > k else key)
         return key[key < order.size * self.n_points] % self.n_points
 
@@ -439,8 +433,6 @@ class FlinngIndex:
             raise FormatError("the header holds zero points")
         if R * n_points >= OFFSET_LIMIT or payload_len >= OFFSET_LIMIT:
             raise FormatError("R * n_points or the payload length does not fit the 32-bit offsets")
-        if (B * R + 1) * n_points >= KEY_LIMIT:
-            raise FormatError("(B * R + 1) * n_points does not fit the 64-bit top-k keys")
         total = B * R
         n_buckets = m << l_bits
         words = _bucket_words(n_buckets)
@@ -456,7 +448,8 @@ class FlinngIndex:
         for count, dtype in zip(counts, dtypes):
             arrays.append(np.frombuffer(buf, dtype, count, off))
             off += count * dtype.itemsize
-        bucket_bits, bucket_offsets, cell_members, table_payload = arrays
+        bucket_bits, bucket_offsets, point_cells, table_payload = arrays
+        point_cells = point_cells.reshape(R, n_points)
         if bucket_bits[-1] >> (n_buckets & 63):
             raise FormatError("the bucket bitmap has bits past the last bucket")
         if int(np.bitwise_count(bucket_bits).sum()) != nonempty:
@@ -467,8 +460,12 @@ class FlinngIndex:
             raise FormatError("corrupt reverse-table offsets")
         if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
-        index = cls._from_parts(config, n_points, cell_members, bucket_bits, bucket_offsets, table_payload)
-        _check_membership(index.cell_offsets, cell_members, R, n_points)
+        # row r names cells of repetition r alone: below r * B, the unsigned difference wraps past B
+        if (point_cells - (np.arange(R, dtype=point_cells.dtype) * B)[:, None] >= B).any():
+            raise FormatError("a point's cell lies outside its repetition")
+        index = cls._from_parts(config, n_points, point_cells, bucket_bits, bucket_offsets, table_payload)
+        if not np.array_equal(np.bincount(point_cells.ravel(), minlength=total), np.diff(index.cell_offsets)):
+            raise FormatError("the cells do not hold the sizes that n_points, B and R give")
         return index
 
     def save(self, path):

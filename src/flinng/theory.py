@@ -79,14 +79,18 @@ def group_testing_bounds(tpr, fpr, num_cells, repetitions, n_points, n_positives
                      + tpr * (1 - (N (B-1) / (e B (N-1)))**K)]**R
 
     clamped to [0, 1], with B = num_cells, R = repetitions, N = n_points,
-    K = n_positives.
+    K = n_positives. Where the fpr term leaves float range, fpr_upper is the
+    vacuous 1; at fpr = 0 that term is 0.
     """
     if not (0.0 <= fpr <= tpr <= 1.0):
         raise InputError(f"need 0 <= fpr <= tpr <= 1, got fpr={fpr} tpr={tpr}")
     N, K, B, R = _check_grid(n_points, n_positives, num_cells, repetitions)
-    co_high = (math.e * N * (B - 1) / (B * (N - 1))) ** K
+    try:
+        co_high = (math.e * N * (B - 1) / (B * (N - 1))) ** K
+    except OverflowError:
+        co_high = math.inf
     co_low = (N * (B - 1) / (math.e * B * (N - 1))) ** K
-    per_rep = fpr * co_high + tpr * (1.0 - co_low)
+    per_rep = (fpr * co_high if fpr else 0.0) + tpr * (1.0 - co_low)
     fpr_upper = min(1.0, max(0.0, per_rep)) ** R
     return GroupTestBounds(tpr_lower=tpr**R, fpr_upper=min(1.0, max(0.0, fpr_upper)))
 
@@ -125,7 +129,8 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
     ln(min(q, 1-p)) n**gamma), and the threshold t = m * midpoint of the
     validity window, with t_int = ceil(t). L is capped at lsh.MAX_L_BITS
     (24), the widest code a hash family takes: InfeasibleParameterError when
-    no L up to it separates s_k from s_k1.
+    no L up to it separates s_k from s_k1, and DomainError when n_points or
+    n_points**gamma leaves float range.
     """
     n_points = lsh._count(n_points, "n_points")
     if n_points < MIN_PLAN_POINTS:
@@ -135,10 +140,16 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
     if not gamma >= 0:  # NaN fails it too
         raise InputError(f"gamma must be >= 0, got {gamma}")
     gamma_stability(s_k, s_k1)  # validates the similarity pair
+    try:
+        return _plan(n_points, delta, gamma, s_k, s_k1)
+    except OverflowError as exc:
+        raise DomainError(f"n_points or n_points**gamma leaves float range (gamma={gamma})") from exc
 
+
+def _plan(n_points, delta, gamma, s_k, s_k1):
     sqrt_n = math.sqrt(n_points)
     denom = math.log(4.80 * sqrt_n) - math.log(2.0 * math.e**2 + 3.44 * sqrt_n)
-    r_raw = math.log(1.0 / delta) / denom
+    r_raw = -math.log(delta) / denom
     if r_raw <= 0.0:
         raise DomainError(f"repetition formula yields {r_raw:.4g} <= 0 for delta={delta}")
     reps = max(1, math.ceil(r_raw))
@@ -158,7 +169,8 @@ def plan_parameters(n_points, delta, gamma, s_k, s_k1) -> ParamPlan:
             f"no l_bits <= {lsh.MAX_L_BITS} separates s_k={s_k} from s_k1={s_k1} at n={n_points}"
         )
 
-    m = max(1, math.ceil(-8.0 * math.log(min(q, 1.0 - p)) * n_points**gamma))
+    # ln(1 - p) = ln(delta / (2 R)): 1 - p itself rounds to 0 for a tiny delta
+    m = max(1, math.ceil(-8.0 * min(math.log(q), math.log(delta) - math.log(2.0 * reps)) * n_points**gamma))
     t = m * (per_cell * s_k1**l_bits + s_k**l_bits) / 2.0
     t_int = max(1, math.ceil(t))
     return ParamPlan(

@@ -49,7 +49,8 @@ def build_jaccard(points, B, R, m, l_bits, seed=0):
 @pytest.fixture(scope="module")
 def planted_10k():
     points, queries, truth = planted_corpus(10_000, 200, 100, seed=11)
-    # warm the compiled kernels so criterion timings measure the algorithm
+    # a tiny build and query first, so one-time first-call costs that do not scale with the input stay
+    # out of the timed build and queries
     build_jaccard(points[:4], B=2, R=2, m=4, l_bits=4).query_topk(points[0], 1)
     start = time.perf_counter()
     index = build_jaccard(points, B=256, R=3, m=32, l_bits=16)

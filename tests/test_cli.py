@@ -40,18 +40,19 @@ def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
     capsys.readouterr()
     assert run("inspect", index) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 5
+    assert report["version"] == 6
     assert report["cell_id_width"] == 2
     assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
     assert report["n_points"] == 6
     parts = report["part_bytes"]
-    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "cell_members", "table_payload"]
+    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "point_cells", "table_payload"]
     assert sum(parts.values()) == index.stat().st_size
     assert report["buckets"] == 8 * 2**8
     assert parts["header"] == 64
     assert parts["bucket_bits"] == 8 * (8 * 2**8 // 64 + 1)  # one word past the last bucket
     assert parts["bucket_offsets"] == 4 * (report["nonempty_buckets"] + 1)
     assert parts["table_payload"] == 2 * report["payload_length"]
+    assert parts["point_cells"] == 2 * 2 * 6  # R * n_points cells of the 2-byte width
     loaded = FlinngIndex.load(index)
     bucket_sizes = np.diff(loaded.table_offsets.astype(np.int64))
     assert report["nonempty_buckets"] == int((bucket_sizes > 0).sum()) > 0
@@ -284,6 +285,25 @@ def test_plan_past_widest_code_exits_five(capsys):
     # separating 0.5 from 0.45 at n = 10000 takes l_bits = 44; a hash family takes at most 24
     assert run("plan", "--n", 10000, "--delta", 0.05, "--gamma", 0.25, "--sk", 0.5, "--sk1", 0.45) == 5
     assert "no l_bits <= 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--delta", "1e-15", "--gamma", "0.25"], 0),
+    (["--delta", "1e-320", "--gamma", "0.25"], 0),
+    (["--delta", "0.05", "--gamma", "100"], 5),
+    (["--delta", "0.05", "--gamma", "inf"], 5),
+], ids=["delta-1e-15", "delta-1e-320", "gamma-100", "gamma-inf"])
+def test_plan_outside_float_range_exits_zero_or_five(argv, code, capsys):
+    assert run("plan", "--n", 10000, *argv, "--sk", 0.5, "--sk1", 0.125) == code
+    capsys.readouterr()
+
+
+def test_simulate_past_the_bound_float_range(capsys):
+    # the bound's fpr term overflows a float at K = 1000 on this grid: it is vacuous, so fpr_upper is 1
+    assert run("simulate", "--n", 2000, "--K", 1000, "--B", 20, "--R", 3, "--p", 0.9, "--q", 0.1,
+               "--trials", 2) == 0
+    values = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert float(values["fpr_upper"]) == 1.0
 
 
 def test_simulate_noiseless(capsys):

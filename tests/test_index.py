@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -88,11 +89,25 @@ def test_derived_cell_offsets_count_the_assigned_cells(n, B, R):
     for r in range(R):
         cells[r, permutation(derive(0, TAG_PERMUTATION + r), n)] = r * B + np.arange(n) % B
     expected = np.concatenate([[0], np.cumsum(np.bincount(cells.ravel(), minlength=B * R))])
+    members = np.argsort(cells, axis=None, kind="stable") % n
     for index in (idx, FlinngIndex.from_bytes(idx.to_bytes())):
         assert index.cell_offsets.dtype == np.uint32
         assert np.array_equal(index.cell_offsets, expected)
         assert not index.cell_offsets.flags.writeable
-        assert np.array_equal(index.point_cells, cells)  # the offsets split the members into their cells
+        assert index.point_cells.dtype == index.config.cell_dtype
+        assert np.array_equal(index.point_cells, cells)
+        assert np.array_equal(index.cell_members, members)  # the offsets split the members into their cells
+        assert not index.cell_members.flags.writeable
+
+
+def test_config_caps_the_grid_at_max_cells():
+    # configs only: nothing is built at these sizes
+    spec = HashFamilySpec("minhash", 4, 8, 0)
+    cap = FlinngConfig.MAX_CELLS
+    assert FlinngConfig(cap, 1, spec, "jaccard").total_cells == cap
+    assert FlinngConfig(cap // 4, 4, spec, "jaccard").total_cells == cap
+    with pytest.raises(ConfigError, match="MAX_CELLS"):
+        FlinngConfig(cap + 1, 1, spec, "jaccard")
 
 
 def test_build_deterministic_byte_identical(token_corpus_50):
@@ -536,13 +551,6 @@ def test_truncation_rejected(token_corpus_50):
         FlinngIndex.from_bytes(blob[:10])
 
 
-def _image(idx, **arrays):
-    fields = {name: getattr(idx, name) for name in
-              ("cell_offsets", "cell_members", "table_offsets", "table_payload")}
-    fields.update(arrays)
-    return FlinngIndex(idx.config, idx.n_points, family=idx.family, **fields).to_bytes()
-
-
 def _wide_payload_image(idx):
     # a 4-byte payload for a 2-byte grid, with byte 10 (the cell id width up to version 3) set to 4:
     # the width follows the grid, so cell 65536 + c cannot load as cell c
@@ -607,15 +615,18 @@ def _zero_point_image(idx):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda idx: _image(idx, cell_members=np.where(idx.cell_members == 7, 10**6, idx.cell_members)),
-        lambda idx: _image(idx, cell_members=np.where(idx.cell_members == 4, 3, idx.cell_members)),
-        lambda idx: _image(idx, cell_members=idx.cell_members[np.r_[1, 0, 2 : idx.cell_members.size]]),
+        lambda idx: _edited_image(idx, point_cells=lambda a: a.__setitem__((-1, 0), idx.config.total_cells)),
+        # point 0's cells of repetitions 0 and 1 swapped: every cell keeps its size
+        lambda idx: _edited_image(idx, point_cells=lambda a: a.__setitem__((slice(0, 2), 0), a[1::-1, 0])),
+        lambda idx: _edited_image(
+            idx, point_cells=lambda a: a.__setitem__((0, 0), (a[0, 0] + 1) % idx.config.num_cells)),
         _wide_payload_image,
         lambda idx: _header_field(idx, 16, 0),  # R = 0
         lambda idx: _header_field(idx, 4, 1),  # version 1 had int64 offsets
         lambda idx: _header_field(idx, 4, 2),  # version 2 had dense bucket offsets
         lambda idx: _header_field(idx, 4, 3),  # version 3 stored the bucket ranks
         lambda idx: _header_field(idx, 4, 4),  # version 4 stored the cell offsets
+        lambda idx: _header_field(idx, 4, 5),  # version 5 stored the cell members
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
         _zero_point_image,
@@ -636,8 +647,9 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 40, 1, size=1),
         lambda idx: _header_field(idx, 43, 1, size=1),
     ],
-    ids=["member-out-of-range", "member-twice", "members-not-ascending", "wide-payload", "zero-repetitions",
-         "version-1", "version-2", "version-3", "version-4", "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
+    ids=["cell-past-grid", "cell-of-another-repetition", "point-moved-to-another-cell", "wide-payload",
+         "zero-repetitions", "version-1", "version-2", "version-3", "version-4", "version-5", "srp-dim-2^23",
+         "srp-dim-2^32-1", "zero-points",
          "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
          "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low",
          "l_bits-25", "zero-m", "reserved-byte-9", "reserved-byte-11", "minhash-dim", "reserved-byte-40",
@@ -660,34 +672,32 @@ def test_header_past_32_bit_offsets_rejected(token_corpus_50, offset, value):
         FlinngIndex.from_bytes(_header_field(idx, offset, value, size=8))
 
 
-def test_point_twice_in_repetition_1_rejected(token_corpus_50):
-    # repetition 1 only: the first member of a cell without point 0 becomes 0, so ids still ascend in
-    # every cell, the other repetitions are untouched, and only the duplicate check can reject the image
+def test_unbalanced_repetition_1_rejected(token_corpus_50):
+    # repetition 1 only: point 0 moves to the next cell of its own repetition, so every entry stays in
+    # its row's range, the other repetitions are untouched, and only the cell-size check can reject the image
     _, idx = token_corpus_50
-    B, members = idx.config.num_cells, idx.cell_members.copy()
-    cell = next(c for c in range(B, 2 * B) if idx.members_of(c).size and 0 not in idx.members_of(c))
-    members[idx.cell_offsets[cell]] = 0
-    with pytest.raises(FormatError, match="twice in one repetition"):
-        FlinngIndex.from_bytes(_image(idx, cell_members=members))
+    B = idx.config.num_cells
+
+    def move(cells):
+        cells[1, 0] = B + (cells[1, 0] - B + 1) % B
+    with pytest.raises(FormatError, match="sizes"):
+        FlinngIndex.from_bytes(_edited_image(idx, point_cells=move))
 
 
 def test_header_past_64_bit_topk_keys_rejected():
-    # B * R = 2^32 - 1 and R * n_points = 2^31 + 1 fit their 32-bit limits, but (B * R + 1) * n_points
-    # = 2^63 + 2^32 does not fit an int64 key; raised from the header, before the size is checked
+    # B * R = 2^32 - 1 and R * n_points = 2^31 + 1 fit the 32-bit offsets, and (B * R + 1) * n_points
+    # = 2^63 + 2^32 would not fit an int64 top-k key; the grid is past MAX_CELLS, so the header is
+    # refused before the size is checked or anything is sized
     header = index_module._HEADER.pack(index_module.MAGIC, index_module.VERSION, 0, (1 << 32) - 1, 1, 1, 1, 0,
                                        0, (1 << 31) + 1, 0, 0)
-    with pytest.raises(FormatError, match="64-bit top-k keys"):
-        FlinngIndex.from_bytes(header)
-
-
-def test_from_codes_rejects_keys_past_limit(monkeypatch):
-    codes = np.random.default_rng(3).integers(0, 16, (10, 4))
-    full = codes_index(codes, B=3, R=2, m=4, l_bits=4)
-    monkeypatch.setattr(index_module, "KEY_LIMIT", (3 * 2 + 1) * 10)
-    with pytest.raises(InputError, match="64-bit top-k keys"):
-        codes_index(codes, B=3, R=2, m=4, l_bits=4)
-    monkeypatch.setattr(index_module, "KEY_LIMIT", (3 * 2 + 1) * 10 + 1)
-    assert codes_index(codes, B=3, R=2, m=4, l_bits=4).to_bytes() == full.to_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="MAX_CELLS"):
+            FlinngIndex.from_bytes(header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_from_codes_rejects_offsets_past_limit(monkeypatch):
@@ -775,8 +785,16 @@ def test_loaded_arrays_are_read_only(tmp_path, token_corpus_50):
     path = tmp_path / "toy.flinng"
     idx.save(path)
     for index in (FlinngIndex.load(path), FlinngIndex.from_bytes(idx.to_bytes())):
-        for name in ("cell_offsets", "cell_members", "table_offsets", "table_payload"):
+        for name in ("cell_offsets", "point_cells", "cell_members", "table_offsets", "table_payload"):
             assert not getattr(index, name).flags.writeable, name
+
+
+def test_rank_directory_derived_on_first_query(token_corpus_50):
+    points, idx = token_corpus_50
+    clone = FlinngIndex.from_bytes(idx.to_bytes())
+    assert "bucket_ranks" not in vars(clone)
+    clone.query_topk(points[0], 5)
+    assert np.array_equal(vars(clone)["bucket_ranks"], index_module._word_ranks(clone.bucket_bits))
 
 
 def test_from_bytearray_survives_later_writes(token_corpus_50):

@@ -17,8 +17,12 @@ def _table_after(marker):
 
 def test_readme_index_table_matches_the_format():
     rows = _table_after("**Index file**")
-    arrays = [m.group(1) for _, _, field in rows if (m := re.match(r"`(\w+)`:", field))]
-    assert arrays == list(index.IMAGE_PARTS[1:])
+    arrays = [(size, m.group(1)) for _, size, field in rows if (m := re.match(r"`(\w+)`:", field))]
+    assert [name for _, name in arrays] == list(index.IMAGE_PARTS[1:])
+    # an item size that follows the grid's cell id width reads "width", any other its byte count
+    items = [str(short.itemsize) if short == wide else "width"
+             for short, wide in zip(index._image_dtypes(2), index._image_dtypes(4))]
+    assert [size.split(" ", 1)[0] for size, _ in arrays] == items
     versions = [int(m.group(1)) for _, _, field in rows if (m := re.fullmatch(r"u32 version \((\d+)\)", field))]
     assert versions == [index.VERSION]
 

@@ -178,6 +178,23 @@ def test_plan_domain_errors():
         theory.plan_parameters(10_000, 0.05, math.nan, 0.5, 0.125)
 
 
+@pytest.mark.parametrize("delta", [1e-15, 1e-300, 1e-320, 5e-324])
+def test_plan_takes_a_delta_whose_p_rounds_to_one(delta):
+    # 1 - delta / (2 R) rounds to 1.0, so ln(1 - p) comes from ln delta - ln(2 R), not from log(0)
+    plan = theory.plan_parameters(10_000, delta, 0.25, 0.5, 0.125)
+    assert plan.p == 1.0
+    # n = 10^4: sqrt(n) = 100 and n**0.25 = 10
+    assert plan.repetitions_raw == pytest.approx(-math.log(delta) / math.log(480 / (2 * math.e**2 + 344)))
+    assert plan.m == max(1, math.ceil(8 * (math.log(2 * plan.repetitions) - math.log(delta)) * 10))
+
+
+@pytest.mark.parametrize("n_points, gamma", [(10_000, 100.0), (10_000, math.inf), (10**400, 0.25)],
+                         ids=["gamma-100", "gamma-inf", "n-10^400"])
+def test_plan_past_float_range_is_a_domain_error(n_points, gamma):
+    with pytest.raises(DomainError, match="float range"):
+        theory.plan_parameters(n_points, 0.05, gamma, 0.5, 0.125)
+
+
 def test_plan_infeasible_l_bits():
     # ratio barely above 1 forces an astronomically deep concatenation
     with pytest.raises(InfeasibleParameterError):
@@ -188,6 +205,18 @@ def test_plan_infeasible_l_bits():
 
 
 # -- simulator --------------------------------------------------------------------
+
+
+def test_bounds_past_float_range_are_vacuous():
+    # (e N (B-1) / (B (N-1)))**K overflows a float from about K = 750 on this grid
+    with pytest.raises(OverflowError):
+        (math.e * 2000 * 19 / (20 * 1999)) ** 1000
+    bound = theory.group_testing_bounds(0.9, 0.1, 20, 3, 2000, 1000)
+    assert bound.fpr_upper == 1.0
+    assert bound.tpr_lower == pytest.approx(0.9**3)
+    # at fpr = 0 the fpr term is 0, and (N (B-1) / (e B (N-1)))**K underflows to 0
+    assert theory.group_testing_bounds(0.9, 0.0, 20, 3, 2000, 1000).fpr_upper == pytest.approx(0.9**3)
+
 
 
 def test_simulate_noiseless_tests():
