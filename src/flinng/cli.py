@@ -89,9 +89,13 @@ def cmd_inspect(args):
         "part_bytes": {name: memoryview(part).nbytes
                        for name, part in zip(IMAGE_PARTS, index._image_parts())},
         "buckets": spec.m << spec.l_bits,
-        "nonempty_buckets": int(np.bitwise_count(index.bucket_bits).sum()),
+        "nonempty_buckets": int(index.bucket_sizes.size),
+        "max_bucket_size": int(index.bucket_sizes.max(initial=0)),
         "min_cell_size": int(cell_sizes.min()),
         "max_cell_size": int(cell_sizes.max()),
+        # the mean count of a cell that holds none of a query's neighbours: each table's
+        # payload spread over its 2**l_bits buckets and the B * R cells
+        "expected_random_cell_count": index.table_payload.size / ((1 << spec.l_bits) * cfg.total_cells),
     }
     print(json.dumps(report))
     return 0

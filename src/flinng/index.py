@@ -40,7 +40,7 @@ _METRIC_KIND = {METRIC_JACCARD: lsh.KIND_MINHASH, METRIC_COSINE: lsh.KIND_SRP}
 _KIND_METRIC = {kind: metric for metric, kind in _METRIC_KIND.items()}
 
 MAGIC = b"FLNG"
-VERSION = 6
+VERSION = 7
 # 64 bytes, so the uint64 bucket bitmap right after it starts 8-byte aligned; pad bytes are reserved zeros
 _HEADER = struct.Struct("<4sIB3xIIIIQI4xQQI")
 _KINDS = (lsh.KIND_MINHASH, lsh.KIND_SRP)
@@ -51,7 +51,7 @@ OFFSET_LIMIT = 1 << 32
 
 # the header, then the index arrays of these names, in image order: item sizes never
 # grow along it, so every array starts aligned to its own item size
-IMAGE_PARTS = ("header", "bucket_bits", "bucket_offsets", "point_cells", "table_payload")
+IMAGE_PARTS = ("header", "bucket_bits", "bucket_sizes", "point_cells", "table_payload")
 
 # entry s: the bits of a word below bit s
 _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.uint64(1)
@@ -60,7 +60,7 @@ _LOW_MASKS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64)) - np.ui
 def _image_dtypes(width):
     """Image dtypes of the arrays in IMAGE_PARTS[1:]."""
     cell = np.dtype(f"<u{width}")
-    return np.dtype("<u8"), np.dtype("<u4"), cell, cell
+    return np.dtype("<u8"), cell, cell, cell
 
 
 def _word_ranks(bits):
@@ -159,12 +159,14 @@ class FlinngIndex:
     Row r of ``point_cells`` holds each point's flat cell in repetition r.
     The m * 2**l_bits buckets of the reverse tables are numbered table by
     table, and bit b of ``bucket_bits`` marks bucket b non-empty. Only the
-    non-empty buckets have offsets: bucket b holds
+    non-empty buckets have a size in ``bucket_sizes``, in the cell width (a
+    bucket holds distinct cells, at most B * R of them). With
+    ``bucket_offsets`` their running sum after a leading 0, bucket b holds
     ``table_payload[bucket_offsets[rank(b)] : bucket_offsets[rank(b + 1)]]``,
     where rank(x), the set bits before bit x, is ``bucket_ranks[x >> 6]`` plus
     those below x in its word. An empty bucket has rank(b + 1) = rank(b).
-    The cell offsets, the ``cell_members``, the rank directory
-    ``bucket_ranks`` and the hash ``family`` are derived, not stored; a family
+    The cell offsets, the ``cell_members``, the ``bucket_offsets``, the rank
+    directory ``bucket_ranks`` and the hash ``family`` are derived, not stored; a family
     passed to the constructor or ``from_codes`` must be built for
     ``config.hash_spec``, and is kept.
     """
@@ -173,9 +175,9 @@ class FlinngIndex:
         """An index from dense offsets: bucket b spans table_offsets[b] .. table_offsets[b + 1], and cell c
         holds cell_members[cell_offsets[c] : cell_offsets[c + 1]]. The given cell offsets and members are kept."""
         _check_family(family, config)
-        table_offsets = np.asarray(table_offsets, dtype=np.uint32)
-        nonempty = np.flatnonzero(np.diff(table_offsets))
-        flags = np.zeros(_bucket_words(table_offsets.size - 1) * 64, dtype=bool)
+        sizes = np.diff(np.asarray(table_offsets, dtype=np.uint32))
+        nonempty = np.flatnonzero(sizes)
+        flags = np.zeros(_bucket_words(sizes.size) * 64, dtype=bool)
         flags[nonempty] = True
         B, R = config.num_cells, config.repetitions
         # int64: falling uint32 offsets would wrap to a huge repeat count instead of raising
@@ -183,7 +185,7 @@ class FlinngIndex:
         point_cells = np.zeros(R * n_points, dtype=config.cell_dtype)
         point_cells[cells // B * n_points + cell_members] = cells
         self._set(config, n_points, cell_offsets, point_cells.reshape(R, n_points), _bucket_bitmap(flags),
-                  np.append(table_offsets[nonempty], table_offsets[-1]), table_payload)
+                  sizes[nonempty].astype(config.cell_dtype), table_payload)
         self.cell_members = cell_members
         if family is not None:
             self.family = family
@@ -202,13 +204,13 @@ class FlinngIndex:
         index._set(config, n_points, cell_offsets, *parts)
         return index
 
-    def _set(self, config, n_points, cell_offsets, point_cells, bucket_bits, bucket_offsets, table_payload):
+    def _set(self, config, n_points, cell_offsets, point_cells, bucket_bits, bucket_sizes, table_payload):
         self.config = config
         self.n_points = n_points
         self.cell_offsets = cell_offsets  # (B*R + 1,) uint32, last entry R * N
         self.point_cells = point_cells  # (R, N) uint16/uint32, row r: each point's flat cell in repetition r
         self.bucket_bits = bucket_bits  # (m * 2**l_bits // 64 + 1,) uint64, bit b set: bucket b non-empty
-        self.bucket_offsets = bucket_offsets  # (non-empty buckets + 1,) uint32, last entry payload length
+        self.bucket_sizes = bucket_sizes  # (non-empty buckets,) uint16/uint32, each >= 1, summing to payload length
         self.table_payload = table_payload  # uint16/uint32 cell ids, dedup per bucket
         spec = config.hash_spec
         # row 0: the first bucket of each table; row 1: the bucket after it
@@ -257,7 +259,7 @@ class FlinngIndex:
 
         table_size = 1 << spec.l_bits
         flags = np.zeros(_bucket_words(m * table_size) * 64, dtype=bool)  # bit b: bucket b is non-empty
-        payloads, starts = [], []
+        payloads, sizes = [], []
         payload_len = 0
         cells_t = cells_of.T  # (n, R)
         for i in range(m):
@@ -271,10 +273,9 @@ class FlinngIndex:
             buckets = np.floor_divide(uniq, total, out=uniq)  # in place: uniq is not read again
             first = np.flatnonzero(_run_starts(buckets))  # each non-empty bucket's first pair
             flags[buckets[first] + i * table_size] = True
-            starts.append((first + payload_len).astype(np.uint32))
+            sizes.append(np.diff(first, append=buckets.size).astype(config.cell_dtype))
             payload_len += buckets.size
-        bucket_offsets = np.concatenate(starts + [np.array([payload_len], dtype=np.uint32)])
-        index = cls._from_parts(config, n, cells_of, _bucket_bitmap(flags), bucket_offsets,
+        index = cls._from_parts(config, n, cells_of, _bucket_bitmap(flags), np.concatenate(sizes),
                                 np.concatenate(payloads))
         if family is not None:
             index.family = family
@@ -295,6 +296,15 @@ class FlinngIndex:
         members = (np.argsort(self.point_cells, axis=None, kind="stable") % self.n_points).astype(np.uint32)
         members.flags.writeable = False
         return members
+
+    @cached_property
+    def bucket_offsets(self):
+        """(non-empty buckets + 1,) uint32 payload offsets, read-only: 0, then the running sum of
+        ``bucket_sizes``; derived on first use (the first query), not stored."""
+        offsets = np.zeros(self.bucket_sizes.size + 1, dtype=np.uint32)
+        np.cumsum(self.bucket_sizes, dtype=np.uint32, out=offsets[1:])
+        offsets.flags.writeable = False
+        return offsets
 
     @cached_property
     def bucket_ranks(self):
@@ -393,7 +403,7 @@ class FlinngIndex:
         width = np.dtype(cfg.cell_dtype).itemsize
         header = _HEADER.pack(MAGIC, VERSION, _KINDS.index(spec.kind), cfg.num_cells, cfg.repetitions, spec.m,
                               spec.l_bits, spec.seed, spec.dim or 0, self.n_points, self.table_payload.shape[0],
-                              self.bucket_offsets.shape[0] - 1)
+                              self.bucket_sizes.shape[0])
         arrays = [getattr(self, name) for name in IMAGE_PARTS[1:]]
         return [header] + [np.ascontiguousarray(a, dtype=d) for a, d in zip(arrays, _image_dtypes(width))]
 
@@ -437,7 +447,7 @@ class FlinngIndex:
         n_buckets = m << l_bits
         words = _bucket_words(n_buckets)
         dtypes = _image_dtypes(np.dtype(config.cell_dtype).itemsize)
-        counts = (words, nonempty + 1, R * n_points, payload_len)
+        counts = (words, nonempty, R * n_points, payload_len)
         # Python ints: a corrupt n_points cannot overflow the expected size
         expected = _HEADER.size + sum(c * d.itemsize for c, d in zip(counts, dtypes))
         if len(buf) != expected:
@@ -448,22 +458,21 @@ class FlinngIndex:
         for count, dtype in zip(counts, dtypes):
             arrays.append(np.frombuffer(buf, dtype, count, off))
             off += count * dtype.itemsize
-        bucket_bits, bucket_offsets, point_cells, table_payload = arrays
+        bucket_bits, bucket_sizes, point_cells, table_payload = arrays
         point_cells = point_cells.reshape(R, n_points)
         if bucket_bits[-1] >> (n_buckets & 63):
             raise FormatError("the bucket bitmap has bits past the last bucket")
         if int(np.bitwise_count(bucket_bits).sum()) != nonempty:
             raise FormatError(f"the bucket bitmap does not mark the header's {nonempty} non-empty buckets")
-        # every listed bucket is non-empty, so its offsets strictly increase
-        if (bucket_offsets[0] != 0 or bucket_offsets[-1] != payload_len
-                or (bucket_offsets[1:] <= bucket_offsets[:-1]).any()):
-            raise FormatError("corrupt reverse-table offsets")
+        # every listed bucket is non-empty, and the buckets tile the payload: every slice lies inside it
+        if int(bucket_sizes.sum(dtype=np.int64)) != payload_len or (nonempty and bucket_sizes.min() == 0):
+            raise FormatError("corrupt reverse-table bucket sizes")
         if payload_len and table_payload.max() >= total:
             raise FormatError("reverse-table payload references an out-of-range cell")
         # row r names cells of repetition r alone: below r * B, the unsigned difference wraps past B
         if (point_cells - (np.arange(R, dtype=point_cells.dtype) * B)[:, None] >= B).any():
             raise FormatError("a point's cell lies outside its repetition")
-        index = cls._from_parts(config, n_points, point_cells, bucket_bits, bucket_offsets, table_payload)
+        index = cls._from_parts(config, n_points, point_cells, bucket_bits, bucket_sizes, table_payload)
         if not np.array_equal(np.bincount(point_cells.ravel(), minlength=total), np.diff(index.cell_offsets)):
             raise FormatError("the cells do not hold the sizes that n_points, B and R give")
         return index

@@ -40,23 +40,27 @@ def test_inspect_reports_header_parts_and_occupancy(six, tmp_path, capsys):
     capsys.readouterr()
     assert run("inspect", index) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["version"] == 6
+    assert report["version"] == 7
     assert report["cell_id_width"] == 2
     assert (report["num_cells"], report["repetitions"], report["m"], report["l_bits"]) == (3, 2, 8, 8)
     assert report["n_points"] == 6
     parts = report["part_bytes"]
-    assert list(parts) == ["header", "bucket_bits", "bucket_offsets", "point_cells", "table_payload"]
+    assert list(parts) == ["header", "bucket_bits", "bucket_sizes", "point_cells", "table_payload"]
     assert sum(parts.values()) == index.stat().st_size
     assert report["buckets"] == 8 * 2**8
     assert parts["header"] == 64
     assert parts["bucket_bits"] == 8 * (8 * 2**8 // 64 + 1)  # one word past the last bucket
-    assert parts["bucket_offsets"] == 4 * (report["nonempty_buckets"] + 1)
+    assert parts["bucket_sizes"] == 2 * report["nonempty_buckets"]
     assert parts["table_payload"] == 2 * report["payload_length"]
     assert parts["point_cells"] == 2 * 2 * 6  # R * n_points cells of the 2-byte width
     loaded = FlinngIndex.load(index)
     bucket_sizes = np.diff(loaded.table_offsets.astype(np.int64))
     assert report["nonempty_buckets"] == int((bucket_sizes > 0).sum()) > 0
     assert report["min_cell_size"] == report["max_cell_size"] == 2  # 6 points in 3 cells
+    # no two points share a token, so each of the 8 * 6 non-empty buckets holds one point's R = 2 cells
+    assert report["nonempty_buckets"] == 48
+    assert report["max_bucket_size"] == 2
+    assert report["expected_random_cell_count"] == 96 / (2**8 * 3 * 2)  # payload / (2^l_bits * B * R)
 
 
 def test_load_and_inspect_build_no_hash_family(tmp_path, capsys, monkeypatch):

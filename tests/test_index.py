@@ -100,6 +100,40 @@ def test_derived_cell_offsets_count_the_assigned_cells(n, B, R):
         assert not index.cell_members.flags.writeable
 
 
+def _full_bucket_index(n, B, R):
+    # table 0 puts every point under code 0, so its bucket 0 holds all B * R cells; table 1 spreads them
+    codes = np.zeros((n, 2), dtype=np.uint32)
+    codes[:, 1] = np.random.default_rng(7).integers(0, 16, n)
+    return codes, codes_index(codes, B=B, R=R, m=2, l_bits=4)
+
+
+@pytest.mark.parametrize("n, B, R", [(300, 100, 3), (600, 258, 255)], ids=["u16-cells", "u32-cells"])
+def test_derived_bucket_offsets_are_the_running_sum_of_the_sizes(n, B, R):
+    # reference sizes: the distinct cells of each (table, code)'s points; the full bucket's B * R cells
+    # pass a u8 at u16 cells and a u16 at u32 cells, so a sizes dtype narrower than the cells would show
+    codes, idx = _full_bucket_index(n, B, R)
+    sizes = [np.unique(idx.point_cells[:, codes[:, i] == c]).size
+             for i in range(2) for c in range(16) if (codes[:, i] == c).any()]
+    assert max(sizes) == B * R > np.iinfo(f"u{np.dtype(idx.config.cell_dtype).itemsize // 2}").max
+    expected = np.concatenate([[0], np.cumsum(sizes)])
+    for index in (idx, FlinngIndex.from_bytes(idx.to_bytes())):
+        assert index.bucket_sizes.dtype == index.config.cell_dtype
+        assert np.array_equal(index.bucket_sizes, sizes)
+        assert index.bucket_offsets.dtype == np.uint32
+        assert np.array_equal(index.bucket_offsets, expected)
+        assert not index.bucket_offsets.flags.writeable
+
+
+@pytest.mark.parametrize("n, B, R", [(300, 100, 3), (600, 258, 255)], ids=["u16-cells", "u32-cells"])
+def test_image_size_formula(n, B, R):
+    # header, bitmap words, then E sizes, R * N cells and the payload, all in the cell width
+    _, idx = _full_bucket_index(n, B, R)
+    width = np.dtype(idx.config.cell_dtype).itemsize
+    words = (2 * 16 >> 6) + 1
+    E = int(np.bitwise_count(idx.bucket_bits).sum())
+    assert idx.nbytes == len(idx.to_bytes()) == 64 + 8 * words + width * (E + R * n + idx.table_payload.size)
+
+
 def test_config_caps_the_grid_at_max_cells():
     # configs only: nothing is built at these sizes
     spec = HashFamilySpec("minhash", 4, 8, 0)
@@ -586,7 +620,7 @@ def _edited_image(idx, **edits):
 
 def _extra_bucket_image(idx):
     # one more bit in the last word that holds buckets: a bitmap that marks one bucket more
-    # than the header and the offsets list
+    # than the header and the sizes list
     def add_bit(bits):
         bits[-2] |= ~bits[-2] & (bits[-2] + np.uint64(1))
     return _edited_image(idx, bucket_bits=add_bit)
@@ -594,7 +628,7 @@ def _extra_bucket_image(idx):
 
 def _bit_past_last_bucket_image():
     # 3 tables of 16 buckets fill 48 bits of one word: move the highest set bit to bit 48,
-    # so the popcount and the offsets still agree
+    # so the popcount and the sizes still agree
     codes = np.random.default_rng(6).integers(0, 16, (12, 3))
     idx = codes_index(codes, B=3, R=2, m=3, l_bits=4)
 
@@ -602,6 +636,19 @@ def _bit_past_last_bucket_image():
         top = int(bits[0]).bit_length() - 1
         bits[0] ^= np.uint64((1 << top) | (1 << 48))
     return _edited_image(idx, bucket_bits=move)
+
+
+def _empty_middle_bucket(sizes):
+    # a middle bucket's cells handed to the next bucket: the sizes still sum to the payload length
+    mid = sizes.size // 2
+    sizes[mid + 1] += sizes[mid]
+    sizes[mid] = 0
+
+
+def _shrink_a_bucket(sizes):
+    # one size down by 1 and still >= 1: the sizes fall one short of the payload length
+    i = np.flatnonzero(sizes >= 2)[0]
+    sizes[i] -= 1
 
 
 def _zero_point_image(idx):
@@ -627,17 +674,18 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 4, 3),  # version 3 stored the bucket ranks
         lambda idx: _header_field(idx, 4, 4),  # version 4 stored the cell offsets
         lambda idx: _header_field(idx, 4, 5),  # version 5 stored the cell members
+        lambda idx: _header_field(idx, 4, 6),  # version 6 stored u32 bucket offsets
         lambda idx: _srp_dim_image(1 << 23),
         lambda idx: _srp_dim_image((1 << 32) - 1),
         _zero_point_image,
         _extra_bucket_image,
         lambda idx: _bit_past_last_bucket_image(),
         lambda idx: _edited_image(idx, bucket_bits=lambda a: a.__setitem__(-1, 1)),
-        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(2, a[1])),
-        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(0, 1)),
-        lambda idx: _edited_image(idx, bucket_offsets=lambda a: a.__setitem__(-1, a[-1] + 1)),
-        lambda idx: _header_field(idx, 60, idx.bucket_offsets.size),  # one more non-empty bucket
-        lambda idx: _header_field(idx, 60, idx.bucket_offsets.size - 2),
+        lambda idx: _edited_image(idx, bucket_sizes=_empty_middle_bucket),
+        lambda idx: _edited_image(idx, bucket_sizes=lambda a: a.__setitem__(0, a[0] + 1)),
+        lambda idx: _edited_image(idx, bucket_sizes=_shrink_a_bucket),
+        lambda idx: _header_field(idx, 60, idx.bucket_sizes.size + 1),  # one more non-empty bucket
+        lambda idx: _header_field(idx, 60, idx.bucket_sizes.size - 1),
         lambda idx: _header_field(idx, 24, 25),  # l_bits = 25
         lambda idx: _header_field(idx, 20, 0),  # m = 0
         # reserved bytes and a minhash image's dim: each one set would give one index a second image
@@ -648,10 +696,10 @@ def _zero_point_image(idx):
         lambda idx: _header_field(idx, 43, 1, size=1),
     ],
     ids=["cell-past-grid", "cell-of-another-repetition", "point-moved-to-another-cell", "wide-payload",
-         "zero-repetitions", "version-1", "version-2", "version-3", "version-4", "version-5", "srp-dim-2^23",
-         "srp-dim-2^32-1", "zero-points",
-         "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-offsets-repeat",
-         "first-offset-not-0", "last-offset-past-payload", "nonempty-count-high", "nonempty-count-low",
+         "zero-repetitions", "version-1", "version-2", "version-3", "version-4", "version-5", "version-6",
+         "srp-dim-2^23", "srp-dim-2^32-1", "zero-points",
+         "bitmap-past-header-count", "bit-past-last-bucket", "bit-in-sentinel-word", "bucket-size-0",
+         "sizes-past-payload", "sizes-short-of-payload", "nonempty-count-high", "nonempty-count-low",
          "l_bits-25", "zero-m", "reserved-byte-9", "reserved-byte-11", "minhash-dim", "reserved-byte-40",
          "reserved-byte-43"],
 )
@@ -736,7 +784,7 @@ def srp_corpus_50():
 def test_fuzzed_image_rejected_or_answers_in_range(request, corpus, data):
     points, idx = request.getfixturevalue(corpus)
     blob = bytearray(idx.to_bytes())
-    # half the flips land in the header and the bucket bitmap and offsets, the rest anywhere
+    # half the flips land in the header and the bucket bitmap and sizes, the rest anywhere
     front = sum(memoryview(part).nbytes for part in idx._image_parts()[:3])
     where = st.one_of(st.integers(0, front - 1), st.integers(0, len(blob) - 1))
     for pos, mask in data.draw(st.lists(st.tuples(where, st.integers(1, 255)), max_size=3)):
@@ -785,7 +833,8 @@ def test_loaded_arrays_are_read_only(tmp_path, token_corpus_50):
     path = tmp_path / "toy.flinng"
     idx.save(path)
     for index in (FlinngIndex.load(path), FlinngIndex.from_bytes(idx.to_bytes())):
-        for name in ("cell_offsets", "point_cells", "cell_members", "table_offsets", "table_payload"):
+        for name in ("cell_offsets", "point_cells", "cell_members", "bucket_sizes", "bucket_offsets",
+                     "table_offsets", "table_payload"):
             assert not getattr(index, name).flags.writeable, name
 
 
